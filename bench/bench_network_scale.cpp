@@ -22,8 +22,8 @@
 #include "benchgen/spec.hpp"
 #include "core/redundancy.hpp"
 #include "network/io.hpp"
-#include "network/simulate.hpp"
 #include "network/stats.hpp"
+#include "sim/sim.hpp"
 #include "util/governor.hpp"
 #include "util/osinfo.hpp"
 

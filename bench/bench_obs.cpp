@@ -1,10 +1,11 @@
 // Observability overhead bench: proves the tracer costs nothing when off.
 //
 // Four measurements:
-//  1. micro: cost of a *disabled* RMSYN_SPAN in ns. Since the profiler
-//     landed, the span ctor gate is `Tracer::enabled() || Profiler::enabled()`
-//     (two relaxed loads + branch), so this number covers the profiler's
-//     disabled path too; measured over tens of millions of iterations;
+//  1. micro: cost of a *disabled* RMSYN_SPAN in ns. The tracer and the
+//     profiler share one span record, so the span ctor gate is one relaxed
+//     load of their consumer mask + a branch, and this number covers both
+//     consumers' disabled path; measured over tens of millions of
+//     iterations;
 //  2. micro: cost of one bucketed histogram observe_value() in ns — the
 //     percentile machinery's per-sample price;
 //  3. span + sample census: how many spans one traced Table-2 flow emits

@@ -1,11 +1,11 @@
 // Word-range gate evaluation on the SIMD kernels (DESIGN.md §15).
 //
-// Every simulator in rmsyn — the one-shot simulate() pass, SimState's
-// cached full pass and event-driven resim, and the fault overlay — boils
-// down to the same step: combine the fanin pattern words of one gate into
-// its output words. This helper is that step, shared so the scalar, AVX2
-// and NEON dispatches all see one code path and the sharded simulators
-// can evaluate an arbitrary word sub-range of a row.
+// Every simulator in rmsyn — SimState's full pass (which simulate() wraps)
+// and event-driven resim, and FaultProber's fault overlay — boils down to
+// the same step: combine the fanin pattern words of one gate into its
+// output words. This helper is that step, shared so the scalar, AVX2 and
+// NEON dispatches all see one code path and the sharded full pass can
+// evaluate an arbitrary word sub-range of a row.
 //
 // Complemented gates (NAND/NOR/XNOR/NOT) may leave garbage in the unused
 // tail bits of a row's final word; callers that evaluate a range covering

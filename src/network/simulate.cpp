@@ -1,10 +1,7 @@
 #include "network/simulate.hpp"
 
-#include <algorithm>
 #include <cassert>
 
-#include "network/eval_kernel.hpp"
-#include "sched/pool.hpp"
 #include "util/rng.hpp"
 
 namespace rmsyn {
@@ -20,80 +17,6 @@ void PatternSet::append(const BitVec& assignment) {
 
 void PatternSet::reserve(std::size_t expected_patterns) {
   for (auto& b : bits) b.reserve(expected_patterns);
-}
-
-namespace {
-
-/// Evaluates every gate's value words in range [w0, w1) in topological
-/// order. Word-local, so disjoint ranges can run concurrently over the
-/// same row storage. Complemented gates leave tail garbage in the last
-/// word; the caller masks all rows afterwards.
-void simulate_range(const Network& net, const std::vector<NodeId>& order,
-                    std::vector<BitVec>& value, std::size_t w0,
-                    std::size_t w1) {
-  const std::size_t nw = w1 - w0;
-  if (nw == 0) return;
-  const uint64_t* ins_inline[kEvalInlineFanins];
-  std::vector<const uint64_t*> ins_heap;
-  for (const NodeId n : order) {
-    const GateType t = net.type(n);
-    if (t == GateType::Pi || t == GateType::Const0 || t == GateType::Const1)
-      continue;
-    const auto& fi = net.fanins(n);
-    const uint64_t** ins = ins_inline;
-    if (fi.size() > kEvalInlineFanins) {
-      ins_heap.resize(fi.size());
-      ins = ins_heap.data();
-    }
-    for (std::size_t k = 0; k < fi.size(); ++k)
-      ins[k] = value[fi[k]].data() + w0;
-    eval_gate_words(t, ins, fi.size(), value[n].data() + w0, nw);
-  }
-}
-
-} // namespace
-
-std::vector<BitVec> simulate(const Network& net, const PatternSet& patterns,
-                             ThreadPool* pool) {
-  assert(patterns.bits.size() == net.pi_count());
-  const std::size_t np = patterns.num_patterns;
-  std::vector<BitVec> value(net.node_count(), BitVec(np));
-  value[Network::kConst1].set_all();
-  for (std::size_t i = 0; i < net.pi_count(); ++i)
-    value[net.pis()[i]] = patterns.bits[i];
-
-  // topo_order() re-runs a full DFS per call — hoist the one copy every
-  // shard (and the tail sweep) iterates.
-  const std::vector<NodeId> order = net.topo_order();
-
-  const std::size_t nw = (np + 63) / 64;
-  // Sharding only pays once each shard has a few SIMD blocks of work.
-  constexpr std::size_t kMinWordsPerShard = 8;
-  std::size_t nshards = 1;
-  if (pool != nullptr && pool->worker_count() > 0)
-    nshards = std::min<std::size_t>(static_cast<std::size_t>(pool->slot_count()),
-                                    nw / kMinWordsPerShard);
-
-  if (nshards <= 1) {
-    simulate_range(net, order, value, 0, nw);
-  } else {
-    std::vector<Future<bool>> futs;
-    for (std::size_t s = 0; s < nshards; ++s) {
-      const std::size_t w0 = s * nw / nshards;
-      const std::size_t w1 = (s + 1) * nw / nshards;
-      futs.push_back(pool->submit([&net, &order, &value, w0, w1] {
-        simulate_range(net, order, value, w0, w1);
-        return true;
-      }));
-    }
-    for (auto& fut : futs) pool->wait(fut);
-  }
-
-  // Complemented gates set the unused tail bits of the final word;
-  // restore the BitVec tail invariant on every computed row.
-  for (const NodeId n : order) value[n].mask_tail();
-  for (auto& row : value) row.assert_tail_clear();
-  return value;
 }
 
 PatternSet random_patterns(std::size_t num_pis, std::size_t count, uint64_t seed) {

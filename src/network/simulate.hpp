@@ -1,6 +1,7 @@
-// 64-way bit-parallel simulation. The paper's redundancy-removal procedure
-// is driven by simulating small pattern sets (AZ, AO, OC, SA1) — this
-// simulator evaluates 64 patterns per word per pass.
+// Pattern sets for 64-way bit-parallel simulation. The paper's
+// redundancy-removal procedure is driven by simulating small pattern sets
+// (AZ, AO, OC, SA1); the simulators that consume them (simulate(),
+// SimState, FaultProber) live in sim/sim.hpp.
 #pragma once
 
 #include <vector>
@@ -27,17 +28,7 @@ struct PatternSet {
   void reserve(std::size_t expected_patterns);
 };
 
-class ThreadPool;
-
-/// Simulates all patterns; result[n] holds node n's value for each pattern.
-/// With a pool, the pattern words are sharded across workers: each shard
-/// runs the full topological pass over its disjoint word range of the
-/// pre-allocated value rows, so the result is bit-identical to serial by
-/// construction (bitwise gate evaluation is word-local).
-std::vector<BitVec> simulate(const Network& net, const PatternSet& patterns,
-                             ThreadPool* pool = nullptr);
-
-/// Simulates `count` uniformly random patterns (seeded).
+/// Draws `count` uniformly random patterns (seeded).
 PatternSet random_patterns(std::size_t num_pis, std::size_t count, uint64_t seed);
 
 /// Word-aligned slice [first_pattern, first_pattern + count) of a pattern

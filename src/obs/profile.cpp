@@ -2,122 +2,60 @@
 
 #include <cstdio>
 #include <cstring>
-#include <stdexcept>
 
+#include "obs/report.hpp"
+#include "obs/span_record.hpp"
 #include "util/osinfo.hpp"
 #include "util/progress.hpp"
 
 namespace rmsyn::obs {
 
-std::atomic<bool> Profiler::enabled_{false};
+namespace detail {
 
-namespace {
-
-struct Frame {
-  char name[48] = {0};
-  int32_t parent = -1;
-  int32_t first_child = -1;
-  int32_t next_sibling = -1;
-  uint64_t calls = 0;
-  uint64_t incl_ns = 0;
-  uint64_t child_ns = 0;
-  double peak_rss_mb = 0.0;
-  double dd_live_nodes = 0.0;
-};
-
-} // namespace
-
-/// Owner-thread-only state: frame_enter/frame_exit run exclusively on the
-/// owning thread; merged() reads under the registry lock after recording
-/// threads have quiesced (same contract as Tracer::snapshot on reset).
-struct Profiler::ThreadTree {
-  std::vector<Frame> frames; ///< frames[0] is the synthetic root
-  std::vector<int32_t> stack;
-
-  ThreadTree() {
-    frames.reserve(256);
-    Frame root;
-    std::strncpy(root.name, "root", sizeof root.name - 1);
-    frames.push_back(root);
-    stack.push_back(0);
-  }
-};
-
-Profiler& Profiler::instance() {
-  static Profiler profiler;
-  return profiler;
+void ThreadRecord::clear_frames() {
+  Frame root;
+  std::strncpy(root.name, "root", sizeof root.name - 1);
+  frames.assign(1, root);
+  stack.assign(1, 0);
 }
 
-void Profiler::enable() { enabled_.store(true, std::memory_order_relaxed); }
-
-void Profiler::disable() { enabled_.store(false, std::memory_order_relaxed); }
-
-void Profiler::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  // Keep the trees allocated — exited threads may still hold thread_local
-  // pointers into them (same rationale as Tracer::reset).
-  for (auto& t : trees_) {
-    t->frames.resize(1);
-    Frame& root = t->frames[0];
-    root.first_child = -1;
-    root.calls = 0;
-    root.incl_ns = 0;
-    root.child_ns = 0;
-    root.peak_rss_mb = 0.0;
-    root.dd_live_nodes = 0.0;
-    t->stack.assign(1, 0);
-  }
-}
-
-Profiler::ThreadTree* Profiler::tree_for_this_thread() {
-  thread_local ThreadTree* tt = nullptr;
-  if (tt == nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    trees_.push_back(std::make_unique<ThreadTree>());
-    tt = trees_.back().get();
-  }
-  return tt;
-}
-
-void Profiler::frame_enter(const char* name) {
-  ThreadTree* t = tree_for_this_thread();
-  const int32_t parent = t->stack.back();
-  int32_t child = t->frames[static_cast<std::size_t>(parent)].first_child;
+void ThreadRecord::frame_enter(const char* name) {
+  const int32_t parent = stack.back();
+  int32_t child = frames[static_cast<std::size_t>(parent)].first_child;
   while (child >= 0) {
-    Frame& f = t->frames[static_cast<std::size_t>(child)];
+    Frame& f = frames[static_cast<std::size_t>(child)];
     if (std::strncmp(f.name, name, sizeof f.name - 1) == 0) break;
     child = f.next_sibling;
   }
   if (child < 0) {
-    if (t->frames.size() >= kMaxNodes) {
+    if (frames.size() >= Profiler::kMaxNodes) {
       // Tree full: attribute this frame's time to the nearest ancestor.
-      t->stack.push_back(parent);
+      stack.push_back(parent);
       return;
     }
-    child = static_cast<int32_t>(t->frames.size());
+    child = static_cast<int32_t>(frames.size());
     Frame f;
     std::strncpy(f.name, name, sizeof f.name - 1);
     f.parent = parent;
-    Frame& p = t->frames[static_cast<std::size_t>(parent)];
+    Frame& p = frames[static_cast<std::size_t>(parent)];
     f.next_sibling = p.first_child;
     p.first_child = child;
-    t->frames.push_back(f);
+    frames.push_back(f);
   }
-  t->stack.push_back(child);
+  stack.push_back(child);
 }
 
-void Profiler::frame_exit(uint64_t dur_ns) {
-  ThreadTree* t = tree_for_this_thread();
-  if (t->stack.size() <= 1) return; // unbalanced exit; ignore
-  const int32_t idx = t->stack.back();
-  t->stack.pop_back();
-  Frame& f = t->frames[static_cast<std::size_t>(idx)];
-  const int32_t parent = t->stack.back();
+void ThreadRecord::frame_exit(uint64_t dur_ns) {
+  if (stack.size() <= 1) return; // unbalanced exit; ignore
+  const int32_t idx = stack.back();
+  stack.pop_back();
+  Frame& f = frames[static_cast<std::size_t>(idx)];
+  const int32_t parent = stack.back();
   if (idx == parent) return; // overflow frame: time already in the ancestor
   ++f.calls;
   f.incl_ns += dur_ns;
-  t->frames[static_cast<std::size_t>(parent)].child_ns += dur_ns;
-  if (t->stack.size() <= 2) {
+  frames[static_cast<std::size_t>(parent)].child_ns += dur_ns;
+  if (stack.size() <= 2) {
     // Shallow frame (a stage or flow boundary, never a kernel hot path):
     // sample the process gauges here so the tree carries memory context.
     const double rss = peak_rss_mb();
@@ -128,21 +66,43 @@ void Profiler::frame_exit(uint64_t dur_ns) {
   }
 }
 
+} // namespace detail
+
+Profiler& Profiler::instance() {
+  static Profiler profiler;
+  return profiler;
+}
+
+void Profiler::enable() {
+  detail::span_consumers.fetch_or(detail::kProfile, std::memory_order_relaxed);
+}
+
+void Profiler::disable() {
+  detail::span_consumers.fetch_and(~detail::kProfile,
+                                   std::memory_order_relaxed);
+}
+
+void Profiler::reset() {
+  detail::Registry& r = detail::registry();
+  std::lock_guard<std::mutex> lk(r.mu);
+  for (auto& rec : r.records) rec->clear_frames();
+}
+
 namespace {
 
 /// Recursively merges a per-thread subtree into the output node, matching
 /// children by name so identical stage paths from different threads (pool
 /// workers running the same stage) fold together.
-void merge_subtree(const std::vector<Frame>& frames, int32_t idx,
+void merge_subtree(const std::vector<detail::Frame>& frames, int32_t idx,
                    Profiler::Node& out) {
-  const Frame& f = frames[static_cast<std::size_t>(idx)];
+  const detail::Frame& f = frames[static_cast<std::size_t>(idx)];
   out.calls += f.calls;
   out.incl_ns += f.incl_ns;
   if (f.peak_rss_mb > out.peak_rss_mb) out.peak_rss_mb = f.peak_rss_mb;
   if (f.dd_live_nodes > out.dd_live_nodes) out.dd_live_nodes = f.dd_live_nodes;
   for (int32_t c = f.first_child; c >= 0;
        c = frames[static_cast<std::size_t>(c)].next_sibling) {
-    const Frame& cf = frames[static_cast<std::size_t>(c)];
+    const detail::Frame& cf = frames[static_cast<std::size_t>(c)];
     Profiler::Node* slot = nullptr;
     for (Profiler::Node& n : out.children)
       if (n.name == cf.name) {
@@ -185,50 +145,14 @@ void fold_lines(const Profiler::Node& n, const std::string& prefix,
     fold_lines(c, n.name == "root" ? std::string() : path, out);
 }
 
-void json_escape(const std::string& s, std::string& out) {
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    if (static_cast<unsigned char>(ch) >= 0x20) out += ch;
-  }
-}
-
-void json_node(const Profiler::Node& n, std::string& out) {
-  out += "{\"name\":\"";
-  json_escape(n.name, out);
-  char buf[192];
-  std::snprintf(buf, sizeof buf,
-                "\",\"calls\":%llu,\"incl_ms\":%.3f,\"excl_ms\":%.3f",
-                static_cast<unsigned long long>(n.calls),
-                1e-6 * static_cast<double>(n.incl_ns),
-                1e-6 * static_cast<double>(n.excl_ns));
-  out += buf;
-  if (n.peak_rss_mb > 0.0) {
-    std::snprintf(buf, sizeof buf, ",\"peak_rss_mb\":%.1f", n.peak_rss_mb);
-    out += buf;
-  }
-  if (n.dd_live_nodes > 0.0) {
-    std::snprintf(buf, sizeof buf, ",\"dd_live_nodes\":%.0f",
-                  n.dd_live_nodes);
-    out += buf;
-  }
-  if (!n.children.empty()) {
-    out += ",\"children\":[";
-    for (std::size_t i = 0; i < n.children.size(); ++i) {
-      if (i > 0) out += ",";
-      json_node(n.children[i], out);
-    }
-    out += "]";
-  }
-  out += "}";
-}
-
 } // namespace
 
 Profiler::Node Profiler::merged() const {
   Node root;
   root.name = "root";
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& t : trees_) merge_subtree(t->frames, 0, root);
+  detail::Registry& r = detail::registry();
+  std::lock_guard<std::mutex> lk(r.mu);
+  for (const auto& rec : r.records) merge_subtree(rec->frames, 0, root);
   finish_excl(root);
   return root;
 }
@@ -240,21 +164,8 @@ std::string Profiler::folded() const {
   return out;
 }
 
-std::string Profiler::json() const {
-  const Node root = merged();
-  std::string out;
-  json_node(root, out);
-  return out;
-}
-
 void Profiler::write_folded(const std::string& path) const {
-  const std::string text = folded();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr)
-    throw std::runtime_error("profile: cannot write " + path);
-  const std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
-  const bool ok = n == text.size() && std::fclose(f) == 0;
-  if (!ok) throw std::runtime_error("profile: short write to " + path);
+  write_text_file(path, folded());
 }
 
 } // namespace rmsyn::obs

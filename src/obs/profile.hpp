@@ -9,28 +9,30 @@
 // time falls out as incl - child at export; peak-RSS and live-DD-node
 // gauges are sampled at shallow frame exits (stage boundaries, not hot
 // paths). Export formats: folded stacks ("a;b;c <excl_us>" — feed straight
-// to flamegraph.pl or speedscope) and a nested JSON block embedded in the
-// run report; `rmsyn_cli ... --profile out.folded` is the user entry point.
+// to flamegraph.pl or speedscope) and the nested `profile` block of the run
+// report (obs/report.cpp); `rmsyn_cli ... --profile out.folded` is the user
+// entry point.
 //
-// Cost model mirrors the tracer: disabled is one relaxed atomic load inside
-// the Span constructor's existing gate (bench_obs covers the combined
-// branch under the <1% flow-overhead gate). Enabled adds a child lookup
-// (linear over siblings — stage trees have tens of distinct names) and two
-// counter bumps per span; no allocation after a node exists, no locks on
-// the recording path. Per-thread trees are capped at kMaxNodes; once full,
-// new frames attribute their time to the nearest existing ancestor.
+// The frame tree lives in the same per-thread record as the tracer's event
+// buffer (obs/span_record.hpp); Profiler is the second export over that
+// one registry, so enabling it flips a bit in the consumer mask every span
+// already reads (bench_obs gates that one load under the <1% flow-overhead
+// gate). Enabled adds a child lookup (linear over siblings — stage trees
+// have tens of distinct names) and two counter bumps per span; no
+// allocation after a node exists, no locks on the recording path.
+// Per-thread trees are capped at kMaxNodes; once full, new frames
+// attribute their time to the nearest existing ancestor.
 //
 // Lifecycle matches the tracer: enable()/reset()/merged() are run-scoped
 // main-thread operations and must not race recording threads (pool workers
 // are joined at flow boundaries, which is where reports are built).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/trace.hpp"
 
 namespace rmsyn::obs {
 
@@ -40,10 +42,11 @@ public:
 
   void enable();
   void disable();
-  static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
+  static bool enabled() { return detail::consumer_on(detail::kProfile); }
 
-  /// Drops every recorded frame. Must not run concurrently with recording
-  /// threads (call between runs, like Tracer::reset).
+  /// Drops every recorded frame (the tracer's events stay). Must not run
+  /// concurrently with recording threads (call between runs, like
+  /// Tracer::reset).
   void reset();
 
   /// Merged attribution tree across every recording thread. The root is a
@@ -63,8 +66,6 @@ public:
   /// Folded-stack export: one "path;to;frame <exclusive_us>" line per
   /// node with nonzero exclusive time, ready for flamegraph.pl.
   std::string folded() const;
-  /// Nested JSON form of merged() (the report schema's `profile` block).
-  std::string json() const;
   /// Writes folded() to `path`; throws std::runtime_error on I/O failure.
   void write_folded(const std::string& path) const;
 
@@ -72,19 +73,7 @@ public:
   static constexpr std::size_t kMaxNodes = 4096;
 
 private:
-  friend class Span;
   Profiler() = default;
-
-  struct ThreadTree;
-  ThreadTree* tree_for_this_thread();
-
-  /// Recording hooks, called from Span::open/close on the owning thread.
-  void frame_enter(const char* name);
-  void frame_exit(uint64_t dur_ns);
-
-  static std::atomic<bool> enabled_;
-  mutable std::mutex mu_; ///< guards the thread-tree registry only
-  std::vector<std::unique_ptr<ThreadTree>> trees_;
 };
 
 } // namespace rmsyn::obs

@@ -195,14 +195,17 @@ bool validate_json(const Json& doc, const Json& schema,
 
 // --- file I/O ----------------------------------------------------------------
 
-void write_json_file(const std::string& path, const Json& doc, int indent) {
-  const std::string text = doc.dump(indent);
+void write_text_file(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr)
     throw std::runtime_error("cannot open '" + path + "' for writing");
   const std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
   const bool ok = n == text.size() && std::fclose(f) == 0;
   if (!ok) throw std::runtime_error("short write to '" + path + "'");
+}
+
+void write_json_file(const std::string& path, const Json& doc, int indent) {
+  write_text_file(path, doc.dump(indent));
 }
 
 std::string read_file(const std::string& path) {

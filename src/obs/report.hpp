@@ -79,8 +79,11 @@ private:
 bool validate_json(const Json& doc, const Json& schema,
                    std::vector<std::string>* errors);
 
-/// Writes `doc.dump(indent)` to `path`; throws std::runtime_error on I/O
-/// failure.
+/// Writes `text` to `path`, replacing the file; throws std::runtime_error
+/// on I/O failure. Every artefact the obs layer writes goes through here.
+void write_text_file(const std::string& path, const std::string& text);
+
+/// Writes `doc.dump(indent)` to `path` (write_text_file).
 void write_json_file(const std::string& path, const Json& doc,
                      int indent = 2);
 

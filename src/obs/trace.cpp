@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <stdexcept>
+
+#include "obs/report.hpp"
+#include "obs/span_record.hpp"
 
 namespace rmsyn::obs {
 
@@ -15,18 +17,26 @@ uint64_t now_ns() {
           .count());
 }
 
-std::atomic<bool> Tracer::enabled_{false};
+namespace detail {
 
-/// Single-producer span buffer: the owning thread writes events[count] and
-/// publishes with a release store of count; snapshot() reads count with
-/// acquire and copies that prefix. `depth` is owner-thread-only state.
-struct Tracer::ThreadLog {
-  int tid = 0;
-  std::atomic<uint32_t> count{0};
-  std::atomic<uint64_t> dropped{0};
-  uint32_t depth = 0;
-  std::vector<SpanEvent> events;
-};
+Registry& registry() {
+  static Registry r;
+  return r;
+}
+
+ThreadRecord& this_thread_record() {
+  thread_local ThreadRecord* tl = nullptr;
+  if (tl == nullptr) {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lk(r.mu);
+    r.records.push_back(std::make_unique<ThreadRecord>());
+    tl = r.records.back().get();
+    tl->tid = static_cast<int>(r.records.size());
+  }
+  return *tl;
+}
+
+} // namespace detail
 
 Tracer& Tracer::instance() {
   static Tracer tracer;
@@ -37,77 +47,64 @@ void Tracer::enable() {
   uint64_t expected = 0;
   origin_ns_.compare_exchange_strong(expected, now_ns(),
                                      std::memory_order_relaxed);
-  enabled_.store(true, std::memory_order_relaxed);
+  detail::span_consumers.fetch_or(detail::kTrace, std::memory_order_relaxed);
 }
 
-void Tracer::disable() { enabled_.store(false, std::memory_order_relaxed); }
+void Tracer::disable() {
+  detail::span_consumers.fetch_and(~detail::kTrace, std::memory_order_relaxed);
+}
 
 void Tracer::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  // Keep the logs allocated: exited-and-replaced threads may still hold
-  // thread_local pointers into them. Only the contents are discarded.
-  for (auto& log : logs_) {
-    log->count.store(0, std::memory_order_relaxed);
-    log->dropped.store(0, std::memory_order_relaxed);
-  }
+  detail::Registry& r = detail::registry();
+  std::lock_guard<std::mutex> lk(r.mu);
+  for (auto& rec : r.records) rec->clear_events();
   origin_ns_.store(now_ns(), std::memory_order_relaxed);
 }
 
-Tracer::ThreadLog* Tracer::log_for_this_thread() {
-  thread_local ThreadLog* tl = nullptr;
-  if (tl == nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    logs_.push_back(std::make_unique<ThreadLog>());
-    tl = logs_.back().get();
-    tl->tid = static_cast<int>(logs_.size());
-    tl->events.resize(kThreadCapacity);
-  }
-  return tl;
-}
-
-void Span::open(const char* name) {
+void Span::open(const char* name, unsigned mask) {
   std::strncpy(name_, name, sizeof name_ - 1);
-  name_[sizeof name_ - 1] = '\0';
-  trace_ = Tracer::enabled();
-  prof_ = Profiler::enabled();
-  if (trace_) ++Tracer::instance().log_for_this_thread()->depth;
-  if (prof_) Profiler::instance().frame_enter(name_);
-  open_ = true;
+  rec_ = &detail::this_thread_record();
+  mask_ = mask;
+  if ((mask & detail::kTrace) != 0) {
+    if (rec_->events.empty()) rec_->events.resize(Tracer::kThreadCapacity);
+    ++rec_->depth;
+  }
+  if ((mask & detail::kProfile) != 0) rec_->frame_enter(name_);
   start_ns_ = now_ns(); // last: exclude our own bookkeeping from the span
 }
 
 void Span::close() {
   const uint64_t end = now_ns();
   const uint64_t dur = end > start_ns_ ? end - start_ns_ : 0;
-  if (prof_) Profiler::instance().frame_exit(dur);
-  if (!trace_) return;
-  Tracer::ThreadLog* log = Tracer::instance().log_for_this_thread();
-  --log->depth;
-  const uint32_t n = log->count.load(std::memory_order_relaxed);
+  if ((mask_ & detail::kProfile) != 0) rec_->frame_exit(dur);
+  if ((mask_ & detail::kTrace) == 0) return;
+  --rec_->depth;
+  const uint32_t n = rec_->count.load(std::memory_order_relaxed);
   if (n >= Tracer::kThreadCapacity) {
-    log->dropped.fetch_add(1, std::memory_order_relaxed);
+    rec_->dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  SpanEvent& e = log->events[n];
+  SpanEvent& e = rec_->events[n];
   std::memcpy(e.name, name_, sizeof e.name);
   e.start_ns = start_ns_;
   e.dur_ns = dur;
-  e.depth = static_cast<uint16_t>(log->depth);
-  log->count.store(n + 1, std::memory_order_release);
+  e.depth = static_cast<uint16_t>(rec_->depth);
+  rec_->count.store(n + 1, std::memory_order_release);
 }
 
 Tracer::Snapshot Tracer::snapshot() const {
   Snapshot snap;
   snap.origin_ns = origin_ns_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(mu_);
-  snap.threads.reserve(logs_.size());
-  for (const auto& log : logs_) {
-    const uint32_t n = log->count.load(std::memory_order_acquire);
-    if (n == 0 && log->dropped.load(std::memory_order_relaxed) == 0) continue;
+  detail::Registry& r = detail::registry();
+  std::lock_guard<std::mutex> lk(r.mu);
+  for (const auto& rec : r.records) {
+    const uint32_t n = rec->count.load(std::memory_order_acquire);
+    const uint64_t dropped = rec->dropped.load(std::memory_order_relaxed);
+    if (n == 0 && dropped == 0) continue; // never traced, or reset since
     ThreadTrace t;
-    t.tid = log->tid;
-    t.dropped = log->dropped.load(std::memory_order_relaxed);
-    t.events.assign(log->events.begin(), log->events.begin() + n);
+    t.tid = rec->tid;
+    t.dropped = dropped;
+    t.events.assign(rec->events.begin(), rec->events.begin() + n);
     snap.threads.push_back(std::move(t));
   }
   return snap;
@@ -144,20 +141,15 @@ std::string Tracer::chrome_trace_json() const {
     out += buf;
     first = false;
     for (const SpanEvent& e : t.events) {
-      // Span names are stage identifiers and "flow:<circuit>" labels;
-      // escape conservatively anyway so arbitrary circuit names stay valid.
-      std::string name;
-      for (const char* p = e.name; *p != '\0'; ++p) {
-        if (*p == '"' || *p == '\\') name += '\\';
-        if (static_cast<unsigned char>(*p) >= 0x20) name += *p;
-      }
       const double ts =
           1e-3 * static_cast<double>(e.start_ns - snap.origin_ns);
       const double dur = 1e-3 * static_cast<double>(e.dur_ns);
+      out += ",\n{\"name\":\"";
+      out += Json::escape(e.name);
       std::snprintf(buf, sizeof buf,
-                    ",\n{\"name\":\"%s\",\"cat\":\"rmsyn\",\"ph\":\"X\","
+                    "\",\"cat\":\"rmsyn\",\"ph\":\"X\","
                     "\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}",
-                    name.c_str(), t.tid, ts, dur);
+                    t.tid, ts, dur);
       out += buf;
     }
   }
@@ -166,13 +158,7 @@ std::string Tracer::chrome_trace_json() const {
 }
 
 void Tracer::write_chrome_trace(const std::string& path) const {
-  const std::string json = chrome_trace_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr)
-    throw std::runtime_error("trace: cannot write " + path);
-  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = n == json.size() && std::fclose(f) == 0;
-  if (!ok) throw std::runtime_error("trace: short write to " + path);
+  write_text_file(path, chrome_trace_json());
 }
 
 } // namespace rmsyn::obs

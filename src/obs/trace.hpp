@@ -10,33 +10,46 @@
 // and Perfetto load directly; `rmsyn_cli ... --trace out.json` is the
 // user-facing entry point.
 //
+// One recorder, two exports. Each thread that opens a captured span gets
+// one record (obs/span_record.hpp) holding the span depth, this tracer's
+// event buffer and the profiler's frame tree (obs/profile.hpp); Tracer and
+// Profiler are two views over that one registry. A span reads one consumer
+// mask at open and looks its thread's record up once.
+//
 // Cost model. Tracing is OFF by default: a disabled RMSYN_SPAN is one
-// relaxed atomic load and a branch (bench_obs measures it and gates the
-// extrapolated flow overhead at < 1%, BENCH_obs.json). Compiling with
-// -DRMSYN_NO_OBS removes the sites entirely. Enabled spans cost two clock
-// reads and one 64-byte store; per-thread buffers are bounded
-// (kThreadCapacity) and overflow by *dropping* new spans, counted in
-// `dropped`, never by blocking or reallocating.
+// relaxed load of the consumer mask and a branch (bench_obs measures it
+// and gates the extrapolated flow overhead at < 1%, BENCH_obs.json).
+// Compiling with -DRMSYN_NO_OBS removes the sites entirely. Enabled spans
+// cost two clock reads and one 64-byte store; per-thread buffers are
+// bounded (kThreadCapacity), allocated on the thread's first traced span
+// (a profile-only run allocates none), and overflow by *dropping* new
+// spans, counted in `dropped`, never by blocking or reallocating.
 //
 // Lifecycle. enable()/reset() are run-scoped operations for the main
 // thread between runs; they must not race recording threads. Thread
-// buffers are owned by the singleton and survive their thread, so pool
+// records are owned by the registry and survive their thread, so pool
 // workers that exited before export still contribute their spans.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
-
-#include "obs/profile.hpp"
 
 namespace rmsyn::obs {
 
 /// Monotonic nanoseconds (steady clock), shared by tracer and stage timers.
 uint64_t now_ns();
+
+namespace detail {
+/// Span consumers, one bit each in the mask every span reads at open.
+enum : unsigned { kTrace = 1u, kProfile = 2u };
+inline std::atomic<unsigned> span_consumers{0};
+inline bool consumer_on(unsigned bit) {
+  return (span_consumers.load(std::memory_order_relaxed) & bit) != 0;
+}
+struct ThreadRecord;
+} // namespace detail
 
 /// One completed span. `name` is an owned, truncated copy so callers may
 /// pass transient strings (e.g. "flow:" + circuit).
@@ -55,12 +68,11 @@ public:
   /// origin; ts values in the export are relative to it.
   void enable();
   void disable();
-  static bool enabled() {
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  static bool enabled() { return detail::consumer_on(detail::kTrace); }
 
-  /// Drops every recorded event and re-stamps the origin. Must not run
-  /// concurrently with recording threads (call between runs).
+  /// Drops every recorded event (the profiler's frames stay) and re-stamps
+  /// the origin. Must not run concurrently with recording threads (call
+  /// between runs).
   void reset();
 
   struct ThreadTrace {
@@ -96,45 +108,39 @@ public:
   static constexpr std::size_t kThreadCapacity = std::size_t{1} << 15;
 
 private:
-  friend class Span;
   Tracer() = default;
 
-  struct ThreadLog;
-  ThreadLog* log_for_this_thread();
-
-  static std::atomic<bool> enabled_;
-  mutable std::mutex mu_; ///< guards the thread-log registry only
-  std::vector<std::unique_ptr<ThreadLog>> logs_;
   std::atomic<uint64_t> origin_ns_{0};
 };
 
 /// RAII span; prefer the RMSYN_SPAN macro, which compiles out under
 /// -DRMSYN_NO_OBS. The same site feeds both consumers: the tracer's flat
-/// event log and the profiler's attribution tree, each gated by the flag
-/// state at open time. A span that opened while a consumer was enabled
-/// records at close even if the flag flipped meanwhile (the buffers
-/// outlive the flip; reset() is what discards them).
+/// event log and the profiler's attribution tree, each gated by the
+/// consumer mask at open time. A span that opened while a consumer was
+/// enabled records at close even if the mask changed meanwhile (the
+/// records outlive the flip; reset() is what discards them).
 class Span {
 public:
   explicit Span(const char* name) {
-    if (Tracer::enabled() || Profiler::enabled()) open(name);
+    const unsigned mask =
+        detail::span_consumers.load(std::memory_order_relaxed);
+    if (mask != 0) open(name, mask);
   }
   explicit Span(const std::string& name) : Span(name.c_str()) {}
   ~Span() {
-    if (open_) close();
+    if (mask_ != 0) close();
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
 private:
-  void open(const char* name);
+  void open(const char* name, unsigned mask);
   void close();
 
   char name_[48] = {0};
   uint64_t start_ns_ = 0;
-  bool open_ = false;  ///< a consumer captured this span at open
-  bool trace_ = false; ///< tracing was on at open: record a SpanEvent
-  bool prof_ = false;  ///< profiling was on at open: a frame is on the stack
+  detail::ThreadRecord* rec_ = nullptr;
+  unsigned mask_ = 0; ///< consumers that captured this span at open
 };
 
 } // namespace rmsyn::obs

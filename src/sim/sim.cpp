@@ -121,6 +121,11 @@ SimState::SimState(const Network& net, PatternSet patterns, ThreadPool* pool)
   stats_.simd_dispatch = simd::dispatch_name();
 }
 
+std::vector<BitVec> simulate(const Network& net, const PatternSet& patterns,
+                             ThreadPool* pool) {
+  return SimState(net, patterns, pool).take_values();
+}
+
 std::vector<BitVec> SimState::po_values() const {
   std::vector<BitVec> out;
   out.reserve(net_.po_count());

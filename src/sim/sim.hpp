@@ -28,6 +28,9 @@
 //    out of the remaining blocks); per-worker probers make parallel fault
 //    chunks bit-identical to serial.
 //
+// simulate() is the one-shot full pass: a SimState built and its value
+// rows handed to the caller, so rmsyn has one sharded full-pass loop.
+//
 // Determinism: values depend only on (network, patterns); event/statistic
 // counts depend only on the dirty sets, the faults probed, and the
 // network's (deterministic) fanout-list order — never on thread schedule.
@@ -38,6 +41,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "network/network.hpp"
@@ -131,8 +135,7 @@ public:
   std::size_t num_patterns() const { return patterns_.num_patterns; }
 
   /// Cached value of node n (64 patterns per word). PIs/constants are
-  /// their pattern rows; nodes outside the PO-cone-plus-PI set simulate()
-  /// covers stay all-zero, matching simulate()'s result vector.
+  /// their pattern rows; nodes outside the PO cones stay all-zero.
   const BitVec& value(NodeId n) const {
     ++stats_.value_reuses;
     return values_[n];
@@ -151,6 +154,9 @@ public:
   const SimStats& stats() const { return stats_; }
   /// Moves the counters out (e.g. into a report) and zeroes them.
   SimStats take_stats();
+
+  /// Moves the value rows out of a state that is done (simulate()).
+  std::vector<BitVec> take_values() && { return std::move(values_); }
 
 private:
   friend class FaultProber;
@@ -180,6 +186,12 @@ private:
   BitVec scratch_; ///< reused evaluation buffer (alloc-free steady state)
   mutable SimStats stats_;
 };
+
+/// One-shot full simulation: result[n] holds node n's value for each
+/// pattern — SimState's construction pass (pool-sharded when given a pool,
+/// bit-identical to serial), with the value rows handed to the caller.
+std::vector<BitVec> simulate(const Network& net, const PatternSet& patterns,
+                             ThreadPool* pool = nullptr);
 
 /// Stuck-at fault oracle over a const SimState (or several states sharing
 /// one network — fault simulation keeps one state per pattern block).

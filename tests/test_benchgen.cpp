@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "network/simulate.hpp"
+#include "sim/sim.hpp"
 #include "util/rng.hpp"
 
 namespace rmsyn {

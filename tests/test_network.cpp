@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "network/io.hpp"
-#include "network/simulate.hpp"
 #include "network/stats.hpp"
+#include "sim/sim.hpp"
 #include "util/rng.hpp"
 
 namespace rmsyn {

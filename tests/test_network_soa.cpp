@@ -15,7 +15,7 @@
 #include "equiv/equiv.hpp"
 #include "network/io.hpp"
 #include "network/network.hpp"
-#include "network/simulate.hpp"
+#include "sim/sim.hpp"
 #include "util/rng.hpp"
 
 namespace rmsyn {

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -258,7 +259,11 @@ TEST_F(ProfilerTest, JsonExportParsesAndMirrorsTheTree) {
     RMSYN_SPAN("stage-x");
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  const obs::Json doc = obs::Json::parse(obs::Profiler::instance().json());
+  // The report's profile block is the one serializer of the tree.
+  obs::ReportBuilder rb("profile-json", 1);
+  rb.set_profile(obs::Profiler::instance().merged(), "unused.folded");
+  const obs::Json report = obs::Json::parse(rb.finish(0.0).dump());
+  const obs::Json& doc = report.get("profile").get("root");
   EXPECT_EQ(doc.get("name").as_string(), "root");
   ASSERT_TRUE(doc.contains("children"));
   EXPECT_EQ(doc.get("children").at(0).get("name").as_string(), "stage-x");
@@ -290,6 +295,85 @@ TEST_F(ProfilerTest, WorkerThreadTreesMergeByName) {
   ASSERT_NE(stage, nullptr);
   EXPECT_EQ(stage->calls, 2u); // both threads fold into one node
   EXPECT_GE(stage->incl_ns, uint64_t{2'000'000});
+}
+
+// --- both consumers on one span record ---------------------------------------
+
+class BothConsumersTest : public ::testing::Test {
+protected:
+  void SetUp() override {
+    obs::Tracer::instance().reset();
+    obs::Profiler::instance().reset();
+    obs::Tracer::instance().enable();
+    obs::Profiler::instance().enable();
+  }
+  void TearDown() override {
+    obs::Tracer::instance().disable();
+    obs::Profiler::instance().disable();
+    obs::Tracer::instance().reset();
+    obs::Profiler::instance().reset();
+  }
+};
+
+void sum_calls(const obs::Profiler::Node& n,
+               std::map<std::string, uint64_t>& calls) {
+  for (const auto& c : n.children) {
+    calls[c.name] += c.calls;
+    sum_calls(c, calls);
+  }
+}
+
+TEST_F(BothConsumersTest, OneSpanFeedsBothExportsWhichResetIndependently) {
+  auto& tracer = obs::Tracer::instance();
+  auto& profiler = obs::Profiler::instance();
+  auto work = [] {
+    for (int k = 0; k < 5; ++k) {
+      RMSYN_SPAN("both-outer");
+      RMSYN_SPAN("both-inner");
+    }
+  };
+  std::thread t1(work), t2(work);
+  t1.join();
+  t2.join();
+
+  // Every span lands once in each export: per-name trace event counts
+  // equal the profile's calls per frame.
+  std::map<std::string, uint64_t> events, calls;
+  for (const auto& t : tracer.snapshot().threads)
+    for (const auto& e : t.events) ++events[e.name];
+  sum_calls(profiler.merged(), calls);
+  EXPECT_EQ(events, calls);
+  EXPECT_EQ(events["both-outer"], 10u);
+  EXPECT_EQ(events["both-inner"], 10u);
+  EXPECT_EQ(tracer.summary().threads, 2);
+
+  // Tracer::reset drops events only.
+  tracer.reset();
+  EXPECT_EQ(tracer.summary().events, 0u);
+  const obs::Profiler::Node kept = profiler.merged();
+  const obs::Profiler::Node* outer = find_child(kept, "both-outer");
+  ASSERT_NE(outer, nullptr);
+  EXPECT_EQ(outer->calls, 10u);
+
+  // Profiler::reset drops frames only.
+  { RMSYN_SPAN("after-trace-reset"); }
+  profiler.reset();
+  EXPECT_TRUE(profiler.merged().children.empty());
+  const auto snap = tracer.snapshot();
+  ASSERT_EQ(snap.threads.size(), 1u);
+  ASSERT_EQ(snap.threads[0].events.size(), 1u);
+  EXPECT_STREQ(snap.threads[0].events[0].name, "after-trace-reset");
+
+  // A profile-only run traces no thread, even one that never traced.
+  tracer.disable();
+  tracer.reset();
+  { RMSYN_SPAN("profile-only"); }
+  std::thread([] { RMSYN_SPAN("profile-only"); }).join();
+  EXPECT_EQ(tracer.summary().threads, 0);
+  const obs::Profiler::Node profiled = profiler.merged();
+  const obs::Profiler::Node* only = find_child(profiled, "profile-only");
+  ASSERT_NE(only, nullptr);
+  EXPECT_EQ(only->calls, 2u);
 }
 
 // --- metrics registry -------------------------------------------------------

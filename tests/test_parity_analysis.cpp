@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "equiv/equiv.hpp"
-#include "network/simulate.hpp"
+#include "sim/sim.hpp"
 #include "util/rng.hpp"
 
 namespace rmsyn {

@@ -14,6 +14,7 @@
 #include "equiv/equiv.hpp"
 #include "network/stats.hpp"
 #include "network/transform.hpp"
+#include "sim/sim.hpp"
 #include "util/rng.hpp"
 
 namespace rmsyn {

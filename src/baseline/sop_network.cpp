@@ -150,11 +150,71 @@ void SopNetwork::add_po(int var, std::string name) {
   po_names_.push_back(std::move(name));
 }
 
+namespace {
+
+// Appends the variables of `c`'s support to `out` in ascending order, those
+// below `skip_below` left out; `sup` is scratch for the support words.
+void append_support(const Cover& c, int skip_below, std::vector<uint64_t>& sup,
+                    std::vector<int>& out) {
+  sup.assign((static_cast<std::size_t>(c.nvars()) + 63) / 64, 0);
+  for (const Cube& cube : c.cubes())
+    for (std::size_t w = 0; w < cube.pos_mask().words(); ++w)
+      sup[w] |= cube.pos_mask().word(w) | cube.neg_mask().word(w);
+  for (std::size_t w = 0; w < sup.size(); ++w)
+    for (uint64_t bits = sup[w]; bits != 0; bits &= bits - 1) {
+      const int v = static_cast<int>(64 * w) + __builtin_ctzll(bits);
+      if (v >= skip_below) out.push_back(v);
+    }
+}
+
+// Depth-first walk from the POs that calls emit(v) on each internal node
+// after its fanins (post-order; fanins visited in ascending id order) and
+// stops as soon as emit returns true. Iterative, with one reused fanin
+// stack, so a walk allocates nothing per node.
+template <class Emit>
+void walk_topo(const SopNetwork& sn, Emit&& emit) {
+  std::vector<uint8_t> state(static_cast<std::size_t>(sn.num_vars()), 0);
+  struct Frame {
+    int var;
+    std::size_t begin; // this node's fanins are pending[begin, ...)
+    std::size_t next;
+  };
+  std::vector<Frame> stack;
+  std::vector<int> pending;
+  std::vector<uint64_t> sup;
+  const auto open = [&](int v) {
+    state[static_cast<std::size_t>(v)] = 1;
+    const std::size_t begin = pending.size();
+    append_support(sn.cover_of(v), sn.num_pis(), sup, pending);
+    stack.push_back({v, begin, begin});
+  };
+  for (const int po : sn.po_vars()) {
+    if (sn.is_pi(po) || state[static_cast<std::size_t>(po)] == 2) continue;
+    open(po);
+    while (!stack.empty()) {
+      Frame& top = stack.back();
+      if (top.next < pending.size()) {
+        const int f = pending[top.next++];
+        const uint8_t st = state[static_cast<std::size_t>(f)];
+        if (st == 1) throw std::logic_error("SopNetwork: cycle");
+        if (st == 0) open(f);
+        continue;
+      }
+      const int v = top.var;
+      pending.resize(top.begin);
+      stack.pop_back();
+      state[static_cast<std::size_t>(v)] = 2;
+      if (emit(v)) return;
+    }
+  }
+}
+
+} // namespace
+
 std::vector<int> SopNetwork::fanins(int var) const {
-  const BitVec sup = cover_of(var).support();
+  std::vector<uint64_t> sup;
   std::vector<int> out;
-  for (std::size_t v = sup.first_set(); v != BitVec::npos; v = sup.next_set(v + 1))
-    out.push_back(static_cast<int>(v));
+  append_support(cover_of(var), 0, sup, out);
   return out;
 }
 
@@ -168,18 +228,11 @@ std::vector<int> SopNetwork::fanout_counts() const {
 }
 
 std::vector<int> SopNetwork::topo_nodes() const {
-  std::vector<uint8_t> state(static_cast<std::size_t>(num_vars()), 0);
   std::vector<int> order;
-  const std::function<void(int)> visit = [&](int v) {
-    if (is_pi(v) || state[static_cast<std::size_t>(v)] == 2) return;
-    if (state[static_cast<std::size_t>(v)] == 1)
-      throw std::logic_error("SopNetwork: cycle");
-    state[static_cast<std::size_t>(v)] = 1;
-    for (const int f : fanins(v)) visit(f);
-    state[static_cast<std::size_t>(v)] = 2;
+  walk_topo(*this, [&](int v) {
     order.push_back(v);
-  };
-  for (const int po : pos_) visit(po);
+    return false;
+  });
   return order;
 }
 
@@ -192,9 +245,9 @@ int SopNetwork::literal_count() const {
 int SopNetwork::collapse_growth(int var) const {
   assert(!is_pi(var));
   const Cover& g = cover_of(var);
-  const auto gbar_opt = g.complement_bounded(200'000);
+  auto gbar_opt = g.complement_bounded(200'000);
   if (!gbar_opt) return std::numeric_limits<int>::max();
-  const Cover gbar = single_cube_containment(*gbar_opt);
+  const Cover gbar = single_cube_containment(std::move(*gbar_opt));
   int growth = -g.literal_count();
   for (const auto& f : covers_) {
     bool reads = false;
@@ -211,12 +264,16 @@ int SopNetwork::collapse_growth(int var) const {
 }
 
 bool SopNetwork::collapse_node(int var) {
+  return collapse_within(var, std::numeric_limits<std::size_t>::max());
+}
+
+bool SopNetwork::collapse_within(int var, std::size_t max_cubes) {
   assert(!is_pi(var));
   if (std::find(pos_.begin(), pos_.end(), var) != pos_.end()) return false;
-  const Cover g = cover_of(var);
-  const auto gbar_opt = g.complement_bounded(1'000'000);
+  const Cover& g = cover_of(var);
+  auto gbar_opt = g.complement_bounded(1'000'000);
   if (!gbar_opt) return false;
-  const Cover gbar = single_cube_containment(*gbar_opt);
+  const Cover gbar = single_cube_containment(std::move(*gbar_opt));
   for (std::size_t k = 0; k < covers_.size(); ++k) {
     Cover& f = covers_[k];
     bool reads = false;
@@ -229,7 +286,8 @@ bool SopNetwork::collapse_node(int var) {
     Cover merged = (pos_part & g) | (neg_part & gbar);
     // The cofactor parts overlap on cubes without v; (A|A) duplicates are
     // cleaned by containment.
-    covers_[k] = single_cube_containment(merged);
+    f = single_cube_containment(std::move(merged));
+    if (f.size() > max_cubes) return false;
   }
   // Mark as dead by emptying the cover (it is no longer referenced).
   covers_[static_cast<std::size_t>(var - num_pis_)] = Cover(num_vars());
@@ -238,21 +296,20 @@ bool SopNetwork::collapse_node(int var) {
 }
 
 bool SopNetwork::flatten(std::size_t max_cubes) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const int n : topo_nodes()) {
-      bool is_po = false;
-      for (const int po : pos_)
-        if (po == n) { is_po = true; break; }
-      if (is_po) continue;
-      if (!collapse_node(n)) return false;
-      changed = true;
-      // Abort when a cover blows past the cap.
-      for (const auto& c : covers_)
-        if (c.size() > max_cubes) return false;
-      break; // topo list is stale after a collapse
-    }
+  std::vector<bool> is_po(static_cast<std::size_t>(num_vars()), false);
+  for (const int po : pos_) is_po[static_cast<std::size_t>(po)] = true;
+  while (true) {
+    // Collapse the first non-PO node in topological order; the order is
+    // stale after a collapse, so the walk starts over each time and stops
+    // at that node.
+    int next = -1;
+    walk_topo(*this, [&](int v) {
+      if (is_po[static_cast<std::size_t>(v)]) return false;
+      next = v;
+      return true;
+    });
+    if (next < 0) break;
+    if (!collapse_within(next, max_cubes)) return false;
   }
   // Fully flat iff every PO cover depends on PIs only.
   for (const int po : pos_)

@@ -68,9 +68,12 @@ public:
 
   /// Collapses the whole network to two-level form (one cover per PO over
   /// PIs only), the shape of the IWLS'91 PLA benchmarks. Returns false —
-  /// leaving the network partially collapsed but consistent — when any
-  /// intermediate cover would exceed `max_cubes`. Callers wanting
-  /// all-or-nothing semantics should flatten a copy.
+  /// leaving the network partially collapsed but consistent — as soon as
+  /// a collapse gives one reader a cover of more than `max_cubes` cubes:
+  /// that collapse stops at that reader, so the cap costs at most one
+  /// oversized cover. Callers wanting all-or-nothing semantics should
+  /// flatten a copy, as baseline_synthesize does (it discards the copy on
+  /// false).
   bool flatten(std::size_t max_cubes);
 
   /// Converts to a gate network, factoring each node cover into AND/OR/NOT
@@ -78,6 +81,12 @@ public:
   Network to_network() const;
 
 private:
+  /// collapse_node that returns false as soon as a reader's new cover has
+  /// more than `max_cubes` cubes. The readers rewritten before it keep
+  /// their substituted covers and `var` stays live, so the network is
+  /// still consistent.
+  bool collapse_within(int var, std::size_t max_cubes);
+
   void widen(Cover& c) const;
 
   int num_pis_ = 0;

@@ -19,7 +19,7 @@ public:
     std::vector<BitVec> kept;
     for (std::size_t i = 0; i < cubes.size();) {
       if (i + 1 < cubes.size() && cubes[i] == cubes[i + 1]) i += 2;
-      else kept.push_back(cubes[i++]);
+      else kept.push_back(std::move(cubes[i++]));
     }
     return factor_nodup(std::move(kept));
   }
@@ -52,9 +52,10 @@ private:
       std::vector<NodeId> parts;
       parts.reserve(groups.size());
       for (const auto& g : groups) {
+        // Each cube is in exactly one group, so it can be moved out.
         std::vector<BitVec> sub;
         sub.reserve(g.size());
-        for (const std::size_t i : g) sub.push_back(cubes[i]);
+        for (const std::size_t i : g) sub.push_back(std::move(cubes[i]));
         parts.push_back(factor_nodup(std::move(sub)));
       }
       return balanced_gate_tree(net(), GateType::Xor, std::move(parts));
@@ -66,8 +67,9 @@ private:
     const std::size_t width = cubes[0].size();
     std::vector<std::size_t> occur(width, 0);
     for (const auto& c : cubes)
-      for (std::size_t b = c.first_set(); b != BitVec::npos; b = c.next_set(b + 1))
-        ++occur[b];
+      for (std::size_t w = 0; w < c.words(); ++w)
+        for (uint64_t bits = c.word(w); bits != 0; bits &= bits - 1)
+          ++occur[64 * w + static_cast<std::size_t>(__builtin_ctzll(bits))];
     std::size_t best_lit = BitVec::npos, best_count = 1;
     for (std::size_t b = 0; b < width; ++b) {
       if (occur[b] > best_count) {
@@ -89,10 +91,9 @@ private:
     bool quotient_has_one = false; // the constant-1 cube inside the quotient
     for (auto& c : cubes) {
       if (c.get(best_lit)) {
-        BitVec q = c;
-        q.set(best_lit, false);
-        if (q.none()) quotient_has_one = true;
-        else quotient.push_back(std::move(q));
+        c.set(best_lit, false);
+        if (c.none()) quotient_has_one = true;
+        else quotient.push_back(std::move(c));
       } else {
         remainder.push_back(std::move(c));
       }

@@ -1,8 +1,6 @@
 #include "core/xor_expr.hpp"
 
 #include <cassert>
-#include <functional>
-#include <numeric>
 
 namespace rmsyn {
 
@@ -42,36 +40,58 @@ NodeId balanced_gate_tree(Network& net, GateType type, std::vector<NodeId> leave
 
 std::vector<std::vector<std::size_t>> group_by_disjoint_support(
     const std::vector<BitVec>& cubes) {
-  // Union-find over cube indices, joined through shared variables.
-  std::vector<std::size_t> parent(cubes.size());
-  std::iota(parent.begin(), parent.end(), std::size_t{0});
-  const std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
+  // Connected components of the variables, joined through the cubes: each
+  // component is a variable mask, and the masks stay pairwise disjoint, so
+  // there are never more of them than variables. A cube joins every
+  // component it touches; a cube without literals is a group of its own.
+  const std::size_t w = cubes.empty() ? 0 : cubes[0].words();
+  std::vector<uint64_t> comps; // component c: words [c*w, (c+1)*w)
+  std::size_t ncomps = 0;
+  const auto touches = [&](std::size_t c, const BitVec& m) {
+    for (std::size_t k = 0; k < w; ++k)
+      if ((comps[c * w + k] & m.word(k)) != 0) return true;
+    return false;
   };
-  if (!cubes.empty()) {
-    const std::size_t width = cubes[0].size();
-    std::vector<std::size_t> owner(width, BitVec::npos);
-    for (std::size_t i = 0; i < cubes.size(); ++i) {
-      for (std::size_t b = cubes[i].first_set(); b != BitVec::npos;
-           b = cubes[i].next_set(b + 1)) {
-        if (owner[b] == BitVec::npos) owner[b] = i;
-        else parent[find(i)] = find(owner[b]);
+  for (const BitVec& m : cubes) {
+    std::size_t into = BitVec::npos;
+    for (std::size_t c = 0; c < ncomps;) {
+      if (!touches(c, m)) {
+        ++c;
+      } else if (into == BitVec::npos) {
+        into = c;
+        for (std::size_t k = 0; k < w; ++k) comps[c * w + k] |= m.word(k);
+        ++c;
+      } else {
+        // Merge component c into `into` (an earlier slot) and refill slot
+        // c with the last component, which the loop then visits.
+        --ncomps;
+        for (std::size_t k = 0; k < w; ++k) {
+          comps[into * w + k] |= comps[c * w + k];
+          comps[c * w + k] = comps[ncomps * w + k];
+        }
+        comps.resize(ncomps * w);
       }
     }
+    if (into == BitVec::npos && m.any()) {
+      comps.insert(comps.end(), m.data(), m.data() + w);
+      ++ncomps;
+    }
   }
+  // Groups in order of their lowest cube index, members ascending.
   std::vector<std::vector<std::size_t>> groups;
-  std::vector<std::size_t> root_to_group(cubes.size(), BitVec::npos);
+  std::vector<std::size_t> comp_group(ncomps, BitVec::npos);
   for (std::size_t i = 0; i < cubes.size(); ++i) {
-    const std::size_t r = find(i);
-    if (root_to_group[r] == BitVec::npos) {
-      root_to_group[r] = groups.size();
+    std::size_t c = 0;
+    while (c < comp_group.size() && !touches(c, cubes[i])) ++c;
+    if (c == comp_group.size()) { // no literals
+      groups.push_back({i});
+      continue;
+    }
+    if (comp_group[c] == BitVec::npos) {
+      comp_group[c] = groups.size();
       groups.emplace_back();
     }
-    groups[root_to_group[r]].push_back(i);
+    groups[comp_group[c]].push_back(i);
   }
   return groups;
 }

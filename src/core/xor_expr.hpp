@@ -42,6 +42,8 @@ NodeId balanced_gate_tree(Network& net, GateType type, std::vector<NodeId> leave
 
 /// Partitions cube indices into groups whose supports are connected
 /// (step 2 of the cube method: every two groups have disjoint supports).
+/// Groups come in order of their lowest index, each listed ascending; a
+/// cube without literals is a group of its own.
 std::vector<std::vector<std::size_t>> group_by_disjoint_support(
     const std::vector<BitVec>& cubes);
 

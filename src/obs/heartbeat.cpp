@@ -48,7 +48,7 @@ void Heartbeat::run(double period_seconds) {
                   static_cast<unsigned long long>(total),
                   circuit.empty() ? "-" : circuit.c_str(),
                   stage.empty() ? "-" : stage.c_str(), live);
-    ++beats_;
+    beats_.fetch_add(1, std::memory_order_relaxed);
     lk.unlock();
     sink_.write(buf);
     lk.lock();

@@ -11,6 +11,7 @@
 // --heartbeat <seconds>` is the user-facing switch.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -32,7 +33,7 @@ public:
   void stop();
 
   /// Lines emitted so far (for tests).
-  uint64_t beats() const { return beats_; }
+  uint64_t beats() const { return beats_.load(std::memory_order_relaxed); }
 
 private:
   void run(double period_seconds);
@@ -41,7 +42,7 @@ private:
   std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;
-  uint64_t beats_ = 0;
+  std::atomic<uint64_t> beats_{0}; // written by the monitor thread
   std::thread thread_;
 };
 

@@ -69,10 +69,11 @@ Cover Cover::cofactor(int var, bool value) const {
 }
 
 Cover Cover::cofactor(const Cube& cube) const {
-  Cover r = *this;
-  for (int v = 0; v < nvars_; ++v) {
-    if (cube.has_pos(v)) r = r.cofactor(v, true);
-    else if (cube.has_neg(v)) r = r.cofactor(v, false);
+  Cover r(nvars_);
+  for (const Cube& c : cubes_) {
+    if (c.clashes(cube)) continue;
+    r.add(c);
+    r.cubes_.back().cofactor_inplace(cube);
   }
   return r;
 }
@@ -85,10 +86,17 @@ int most_binate_var(const Cover& f) {
   const int n = f.nvars();
   std::vector<int> pos_cnt(static_cast<std::size_t>(n), 0);
   std::vector<int> neg_cnt(static_cast<std::size_t>(n), 0);
+  // Counts the set bits of each mask word; a variable set in both masks
+  // counts as positive only.
+  const auto count_bits = [](uint64_t bits, std::size_t base, std::vector<int>& cnt) {
+    for (; bits != 0; bits &= bits - 1)
+      ++cnt[base + static_cast<std::size_t>(__builtin_ctzll(bits))];
+  };
   for (const auto& c : f.cubes()) {
-    for (int v = 0; v < n; ++v) {
-      if (c.has_pos(v)) ++pos_cnt[static_cast<std::size_t>(v)];
-      else if (c.has_neg(v)) ++neg_cnt[static_cast<std::size_t>(v)];
+    for (std::size_t w = 0; w < c.pos_mask().words(); ++w) {
+      const uint64_t p = c.pos_mask().word(w);
+      count_bits(p, 64 * w, pos_cnt);
+      count_bits(c.neg_mask().word(w) & ~p, 64 * w, neg_cnt);
     }
   }
   int best = -1, best_score = -1;
@@ -138,8 +146,10 @@ Cover complement_rec(const Cover& f, long& budget) {
     Cover r(n);
     const Cube& c = f.cubes()[0];
     for (int v = 0; v < n; ++v) {
-      if (c.has_pos(v)) r.add(Cube::parse(std::string(static_cast<std::size_t>(v), '-') + "0" + std::string(static_cast<std::size_t>(n - v - 1), '-')));
-      else if (c.has_neg(v)) r.add(Cube::parse(std::string(static_cast<std::size_t>(v), '-') + "1" + std::string(static_cast<std::size_t>(n - v - 1), '-')));
+      if (!c.has_var(v)) continue;
+      Cube lit(n);
+      if (c.has_pos(v)) lit.add_neg(v); else lit.add_pos(v);
+      r.add(std::move(lit));
     }
     return r;
   }

@@ -83,6 +83,16 @@ bool Cube::cofactor_inplace(int v, bool value) {
   return true;
 }
 
+bool Cube::cofactor_inplace(const Cube& lits) {
+  if (clashes(lits)) return false;
+  for (std::size_t w = 0; w < pos_.words(); ++w) {
+    const uint64_t keep = ~(lits.pos_.word(w) | lits.neg_.word(w));
+    pos_.word(w) &= keep;
+    neg_.word(w) &= keep;
+  }
+  return true;
+}
+
 bool Cube::divisible_by(const Cube& divisor) const {
   return divisor.pos_.is_subset_of(pos_) && divisor.neg_.is_subset_of(neg_);
 }

@@ -66,6 +66,10 @@ public:
   /// matching literal. Returns false when the cube vanishes (clashing
   /// literal).
   bool cofactor_inplace(int v, bool value);
+  /// Cofactor with respect to every literal of `lits`: drops their
+  /// variables. Returns false, leaving the cube unchanged, when it clashes
+  /// with `lits`.
+  bool cofactor_inplace(const Cube& lits);
 
   /// Algebraic quotient *this / divisor: removes the divisor's literals.
   /// Valid only when divisor's literals are all present with same polarity.

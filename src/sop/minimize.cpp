@@ -4,54 +4,167 @@
 
 namespace rmsyn {
 
-Cover single_cube_containment(const Cover& f) {
-  const auto& cs = f.cubes();
-  std::vector<bool> dead(cs.size(), false);
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    if (dead[i]) continue;
-    for (std::size_t j = 0; j < cs.size(); ++j) {
-      if (i == j || dead[j]) continue;
-      if (cs[i].covers(cs[j])) {
-        // cs[j] is inside cs[i]; drop j. Identical cubes: keep lower index.
-        if (cs[j].covers(cs[i]) && j < i) continue;
-        dead[j] = true;
-      }
+namespace {
+
+// The mask words of a cube list, copied into one flat array so the pair
+// scans below read memory in order and allocate nothing per pair. Cube i's
+// positive words are at [2wi, 2wi + w), its negative words right after.
+class CubeWords {
+public:
+  explicit CubeWords(const std::vector<Cube>& cs)
+      : w_(cs.empty() ? 0 : cs[0].pos_mask().words()) {
+    words_.reserve(cs.size() * 2 * w_);
+    for (const Cube& c : cs) {
+      words_.insert(words_.end(), c.pos_mask().data(), c.pos_mask().data() + w_);
+      words_.insert(words_.end(), c.neg_mask().data(), c.neg_mask().data() + w_);
     }
   }
-  Cover r(f.nvars());
-  for (std::size_t i = 0; i < cs.size(); ++i)
-    if (!dead[i]) r.add(cs[i]);
-  return r;
+
+  /// True when cube a covers cube b (every literal of a is in b).
+  bool covers(std::size_t a, std::size_t b) const {
+    const uint64_t* x = at(a);
+    const uint64_t* y = at(b);
+    for (std::size_t k = 0; k < 2 * w_; ++k)
+      if ((x[k] & ~y[k]) != 0) return false;
+    return true;
+  }
+
+  /// The variable in which cubes a and b hold opposite literals when that is
+  /// their only difference (they merge into one cube without it), else -1.
+  /// With x = pa^pb and y = na^nb the pair merges iff x == y and x is a
+  /// single bit.
+  int merge_var(std::size_t a, std::size_t b) const {
+    const uint64_t* x = at(a);
+    const uint64_t* y = at(b);
+    int var = -1;
+    for (std::size_t k = 0; k < w_; ++k) {
+      const uint64_t dp = x[k] ^ y[k];
+      if (dp != (x[w_ + k] ^ y[w_ + k])) return -1;
+      if (dp == 0) continue;
+      if (var >= 0 || (dp & (dp - 1)) != 0) return -1;
+      var = static_cast<int>(64 * k) + __builtin_ctzll(dp);
+    }
+    return var;
+  }
+
+  void drop_var(std::size_t i, int v) {
+    const uint64_t keep = ~(uint64_t{1} << (v & 63));
+    uint64_t* x = at(i);
+    x[static_cast<std::size_t>(v) >> 6] &= keep;
+    x[w_ + (static_cast<std::size_t>(v) >> 6)] &= keep;
+  }
+
+  void erase(std::size_t i) {
+    words_.erase(words_.begin() + static_cast<std::ptrdiff_t>(2 * w_ * i),
+                 words_.begin() + static_cast<std::ptrdiff_t>(2 * w_ * (i + 1)));
+  }
+
+  /// Moves cube j's words to slot i (i <= j), for stable compaction.
+  void move(std::size_t j, std::size_t i) {
+    std::copy_n(at(j), 2 * w_, at(i));
+  }
+
+  void truncate(std::size_t n) { words_.resize(2 * w_ * n); }
+
+private:
+  const uint64_t* at(std::size_t i) const { return words_.data() + 2 * w_ * i; }
+  uint64_t* at(std::size_t i) { return words_.data() + 2 * w_ * i; }
+
+  std::size_t w_;
+  std::vector<uint64_t> words_;
+};
+
+} // namespace
+
+Cover single_cube_containment(Cover f) {
+  // A cube is dropped iff another cube strictly covers it or an identical
+  // cube has a lower index. Every such cube has fewer literals, or as many
+  // and a lower index, so it precedes the dropped cube in a stable sort by
+  // literal count; containment is transitive, so testing only the cubes
+  // kept so far (the survivors) decides each cube exactly.
+  auto& cs = f.cubes();
+  if (cs.size() < 2) return f;
+  std::vector<std::size_t> order(cs.size());
+  std::vector<int> lits(cs.size());
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    order[i] = i;
+    lits[i] = cs[i].literal_count();
+  }
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return lits[a] < lits[b];
+  });
+  const CubeWords words(cs);
+  std::vector<std::size_t> survivors;
+  std::vector<bool> keep(cs.size(), false);
+  for (const std::size_t j : order) {
+    const bool covered = std::any_of(survivors.begin(), survivors.end(),
+                                     [&](std::size_t s) { return words.covers(s, j); });
+    if (covered) continue;
+    survivors.push_back(j);
+    keep[j] = true;
+  }
+  // Survivors keep their original relative order.
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    if (!keep[i]) continue;
+    if (out != i) cs[out] = std::move(cs[i]);
+    ++out;
+  }
+  cs.resize(out);
+  return f;
 }
 
 Cover merge_distance_one(const Cover& f) {
+  // Merges the first pair (i, j), i < j, in lexicographic order, then
+  // repeats on the result, as a restart from (0, 1) after every merge would.
+  // The cover is containment-free throughout, so a merge of (i, j) into
+  // cube m leaves every other pair as it was and only drops the cubes m
+  // covers. The first merging pair after it is therefore (k, m) for the
+  // least k before m that merges with m, or else lies at or after (m, m+1).
   Cover cur = single_cube_containment(f);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    auto& cs = cur.cubes();
-    for (std::size_t i = 0; i < cs.size() && !changed; ++i) {
-      for (std::size_t j = i + 1; j < cs.size() && !changed; ++j) {
-        if (cs[i].distance(cs[j]) != 1) continue;
-        // Find the clashing variable; merge when the rest is identical.
-        Cube a = cs[i], b = cs[j];
-        int clash_var = -1;
-        for (int v = 0; v < cur.nvars(); ++v) {
-          if ((a.has_pos(v) && b.has_neg(v)) || (a.has_neg(v) && b.has_pos(v))) {
-            clash_var = v;
-            break;
-          }
-        }
-        a.drop_var(clash_var);
-        b.drop_var(clash_var);
-        if (a == b) {
-          cs[i] = a;
-          cs.erase(cs.begin() + static_cast<std::ptrdiff_t>(j));
-          changed = true;
-        }
+  auto& cs = cur.cubes();
+  CubeWords words(cs);
+  // Merges cube j into cube i (i < j), drops the cubes the result covers and
+  // returns the result's new index.
+  const auto merge = [&](std::size_t i, std::size_t j, int v) {
+    cs[i].drop_var(v);
+    words.drop_var(i, v);
+    cs.erase(cs.begin() + static_cast<std::ptrdiff_t>(j));
+    words.erase(j);
+    std::size_t out = 0, at = i; // `at`: the merged cube's current slot
+    for (std::size_t k = 0; k < cs.size(); ++k) {
+      if (k == i) at = out;
+      else if (words.covers(at, k)) continue;
+      if (out != k) {
+        cs[out] = std::move(cs[k]);
+        words.move(k, out);
+      }
+      ++out;
+    }
+    cs.resize(out);
+    words.truncate(out);
+    return at;
+  };
+  std::size_t i = 0;
+  while (i < cs.size()) {
+    std::size_t j = i + 1;
+    int v = -1;
+    for (; j < cs.size(); ++j)
+      if ((v = words.merge_var(i, j)) >= 0) break;
+    if (j == cs.size()) {
+      ++i;
+      continue;
+    }
+    std::size_t m = merge(i, j, v);
+    for (std::size_t k = 0; k < m;) {
+      if ((v = words.merge_var(k, m)) >= 0) {
+        m = merge(k, m, v);
+        k = 0;
+      } else {
+        ++k;
       }
     }
-    if (changed) cur = single_cube_containment(cur);
+    i = m;
   }
   return cur;
 }

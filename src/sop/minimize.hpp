@@ -8,11 +8,14 @@
 
 namespace rmsyn {
 
-/// Removes cubes covered by a single other cube (SCC).
-Cover single_cube_containment(const Cover& f);
+/// Removes cubes covered by a single other cube (SCC): a cube is dropped iff
+/// another cube strictly covers it or an identical cube comes earlier. The
+/// kept cubes stay in their input order.
+Cover single_cube_containment(Cover f);
 
 /// Merges pairs of cubes at distance 1 that differ in exactly one literal
-/// and agree elsewhere (e.g. a·b + a·b̄ = a). Iterates to fixpoint.
+/// and agree elsewhere (e.g. a·b + a·b̄ = a). Iterates to fixpoint, always
+/// merging the first such pair in index order.
 Cover merge_distance_one(const Cover& f);
 
 /// Removes cubes that are covered by the rest of the cover (exact

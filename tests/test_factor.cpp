@@ -3,6 +3,9 @@
 // expected gate structures.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <numeric>
+
 #include "core/factor_cubes.hpp"
 #include "core/factor_ofdd.hpp"
 #include "core/xor_expr.hpp"
@@ -218,6 +221,64 @@ TEST(XorExpr, GroupByDisjointSupport) {
   cubes[3].set(5); // {5}
   const auto groups = group_by_disjoint_support(cubes);
   EXPECT_EQ(groups.size(), 3u);
+}
+
+// Reference oracle: the original bit-walking grouping, kept here to pin the
+// word-level one in src/core/xor_expr.cpp to the same groups in the same
+// order.
+std::vector<std::vector<std::size_t>> ref_group_by_disjoint_support(
+    const std::vector<BitVec>& cubes) {
+  std::vector<std::size_t> parent(cubes.size());
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
+  const std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  if (!cubes.empty()) {
+    const std::size_t width = cubes[0].size();
+    std::vector<std::size_t> owner(width, BitVec::npos);
+    for (std::size_t i = 0; i < cubes.size(); ++i) {
+      for (std::size_t b = cubes[i].first_set(); b != BitVec::npos;
+           b = cubes[i].next_set(b + 1)) {
+        if (owner[b] == BitVec::npos) owner[b] = i;
+        else parent[find(i)] = find(owner[b]);
+      }
+    }
+  }
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::size_t> root_to_group(cubes.size(), BitVec::npos);
+  for (std::size_t i = 0; i < cubes.size(); ++i) {
+    const std::size_t r = find(i);
+    if (root_to_group[r] == BitVec::npos) {
+      root_to_group[r] = groups.size();
+      groups.emplace_back();
+    }
+    groups[root_to_group[r]].push_back(i);
+  }
+  return groups;
+}
+
+TEST(XorExpr, GroupByDisjointSupportMatchesTheReference) {
+  // Sparse cubes over a handful of positions spread across every mask word,
+  // so groups split and join at word boundaries.
+  for (const std::size_t width : {1u, 64u, 65u, 128u, 130u}) {
+    std::vector<std::size_t> spots;
+    for (const std::size_t b : {0u, 1u, 62u, 63u, 64u, 65u, 127u, 128u, 129u})
+      if (b < width) spots.push_back(b);
+    Rng rng(width);
+    for (int iter = 0; iter < 40; ++iter) {
+      std::vector<BitVec> cubes(rng.below(24), BitVec(width));
+      for (auto& c : cubes)
+        for (const std::size_t b : spots)
+          if (rng.chance(1, 5)) c.set(b);
+      EXPECT_EQ(group_by_disjoint_support(cubes),
+                ref_group_by_disjoint_support(cubes));
+    }
+  }
+  EXPECT_TRUE(group_by_disjoint_support({}).empty());
 }
 
 TEST(XorExpr, BalancedTreeNeutralElements) {

@@ -63,6 +63,38 @@ TEST(SopNetwork, FlattenBailsOnCubeCap) {
   EXPECT_FALSE(sn.flatten(64));
 }
 
+TEST(SopNetwork, FlattenCapTripsOnAnEarlierReader) {
+  // g = x0·x1 + x2·x3 + x4·x5 feeds two PO readers: r1 = ḡ (8 cubes once
+  // substituted) and, after it, r2 = g (3 cubes). With a cap of 4 the
+  // collapse of g stops at r1 and leaves r2 reading g, so the network is
+  // still consistent and computes the same function.
+  SopNetwork sn(6);
+  Cover g(6);
+  for (const char* cube : {"11----", "--11--", "----11"}) g.add(Cube::parse(cube));
+  const int gv = sn.add_node(g);
+  const auto reader = [&](bool positive) {
+    Cover r(sn.num_vars());
+    Cube c(sn.num_vars());
+    if (positive) c.add_pos(gv); else c.add_neg(gv);
+    r.add(std::move(c));
+    return sn.add_node(std::move(r));
+  };
+  const int r1 = reader(false);
+  const int r2 = reader(true);
+  sn.add_po(r1, "r1");
+  sn.add_po(r2, "r2");
+  const Network before = sn.to_network();
+
+  SopNetwork roomy = sn;
+  EXPECT_TRUE(roomy.flatten(64));
+
+  EXPECT_FALSE(sn.flatten(4));
+  EXPECT_GT(sn.cover_of(r1).size(), 4u);
+  const auto r2_fanins = sn.fanins(r2);
+  EXPECT_EQ(r2_fanins, std::vector<int>{gv});
+  EXPECT_TRUE(check_equivalence(before, sn.to_network()).equivalent);
+}
+
 TEST(SopNetwork, FanoutCountsIncludePos) {
   const Network net = small_multilevel();
   const SopNetwork sn = SopNetwork::from_network(decompose2(strash(net)));

@@ -4,9 +4,9 @@
 
 #include <functional>
 #include <map>
-#include <stdexcept>
 
 #include "benchgen/generators.hpp"
+#include "util/errors.hpp"
 
 namespace rmsyn {
 
@@ -221,7 +221,8 @@ Benchmark make_benchmark(const std::string& name) {
     b.num_outputs = static_cast<int>(b.spec.po_count());
     return b;
   }
-  throw std::invalid_argument("make_benchmark: unknown circuit " + name);
+  throw RmsynError(ErrorCode::ParseError,
+                   "make_benchmark: unknown circuit " + name);
 }
 
 } // namespace rmsyn

@@ -36,7 +36,8 @@ const std::vector<std::string>& benchmark_names();
 /// the parameterized large-benchmark families "adderN" (N-bit ripple adder
 /// with carry-in/out, 2 <= N <= 1024) and "multN" (NxN array multiplier
 /// with the full 2N-bit product, 2 <= N <= 512), e.g. adder64, mult128.
-/// Throws std::invalid_argument for unknown names.
+/// Throws RmsynError(ParseError) for unknown names: a bad circuit name is
+/// a fatal input, like an unreadable file.
 Benchmark make_benchmark(const std::string& name);
 
 /// True when `name` is in the registry or a valid parameterized family

@@ -221,7 +221,7 @@ ThreadPool::TaskRef ThreadPool::acquire(int slot) {
 
 void ThreadPool::run_task(const TaskRef& t, int slot) {
   const auto t0 = Clock::now();
-  t->body();
+  std::exception_ptr err = t->body();
   t->body = nullptr; // release captures promptly
   const double busy = seconds_since(t0);
   if (slot < worker_count()) {
@@ -234,6 +234,9 @@ void ThreadPool::run_task(const TaskRef& t, int slot) {
     ++external_stats_.tasks_run;
     external_stats_.busy_seconds += busy;
   }
+  // Fulfil the future only after the task is counted: a waiter that
+  // returns and reads stats() must see it.
+  t->finish(std::move(err));
 }
 
 void ThreadPool::worker_main(int slot) {

@@ -77,7 +77,9 @@ std::string format_sched_summary(const SchedStats& s);
 namespace sched_detail {
 /// Shared completion record of one submitted task.
 struct TaskCore {
-  std::function<void()> body; ///< cleared after execution
+  /// Runs the task, returning its exception if any; the pool counts the
+  /// task before it calls finish(). Cleared after execution.
+  std::function<std::exception_ptr()> body;
   std::mutex m;
   std::condition_variable cv;
   bool done = false;
@@ -160,14 +162,13 @@ public:
     fut.value_ = std::make_shared<std::optional<R>>();
     auto core = fut.core_;
     auto value = fut.value_;
-    core->body = [core, value, fn = std::forward<F>(fn)]() mutable {
-      std::exception_ptr err;
+    core->body = [value, fn = std::forward<F>(fn)]() mutable {
       try {
         value->emplace(fn());
       } catch (...) {
-        err = std::current_exception();
+        return std::current_exception();
       }
-      core->finish(std::move(err));
+      return std::exception_ptr();
     };
     enqueue(core);
     return fut;

@@ -5,597 +5,297 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define RMSYN_SIMD_X86 1
-#include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#define RMSYN_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
+#include <span>
 
 namespace rmsyn::simd {
-
-const char* to_string(Dispatch d) {
-  switch (d) {
-    case Dispatch::Scalar: return "scalar";
-    case Dispatch::Avx2: return "avx2";
-    case Dispatch::Neon: return "neon";
-  }
-  return "scalar";
-}
-
-// ---------------------------------------------------------------------------
-// Scalar kernels. Auto-vectorization is disabled per-function so the
-// forced-scalar dispatch genuinely processes one word per operation:
-// the bench_sim ≥1.5x throughput gate compares against this baseline,
-// and a compiler-vectorized "scalar" would make the gate meaningless.
-// ---------------------------------------------------------------------------
-
-#if defined(__clang__)
-#define RMSYN_NO_AUTOVEC _Pragma("clang loop vectorize(disable) interleave(disable)")
-#define RMSYN_SCALAR_FN
-#elif defined(__GNUC__)
-#define RMSYN_NO_AUTOVEC
-#define RMSYN_SCALAR_FN __attribute__((optimize("no-tree-vectorize", "no-tree-slp-vectorize")))
-#else
-#define RMSYN_NO_AUTOVEC
-#define RMSYN_SCALAR_FN
-#endif
-
 namespace {
 
-RMSYN_SCALAR_FN
-void s_and(uint64_t* dst, const uint64_t* a, const uint64_t* b, std::size_t n,
-           bool invert) {
-  const uint64_t flip = invert ? ~0ull : 0ull;
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i) dst[i] = (a[i] & b[i]) ^ flip;
+// A kernel body is written once over W, the words one operation acts on:
+// W = 1 is a plain word, W = kBlockWords a 256-bit GCC/Clang vector,
+// unaligned and may_alias like the compilers' own __m256i_u, so at<W>()
+// works on word arrays in place. The vector is only named through LaneOf:
+// a template argument would drop its aligned/may_alias attributes.
+template <std::size_t W> struct LaneOf { using type = uint64_t; };
+template <>
+struct LaneOf<kBlockWords> {
+  typedef uint64_t type __attribute__((vector_size(kBlockWords * 8),
+                                       aligned(8), may_alias));
+};
+template <std::size_t W> using Lane = typename LaneOf<W>::type;
+
+// Helpers and bodies inline into the per-target entry points below, so they
+// compile for that target; no lane crosses a call by value.
+#define RMSYN_INLINE inline __attribute__((always_inline))
+
+template <std::size_t W>
+RMSYN_INLINE Lane<W>& at(uint64_t* p) {
+  return *reinterpret_cast<Lane<W>*>(p);
+}
+template <std::size_t W>
+RMSYN_INLINE const Lane<W>& at(const uint64_t* p) {
+  return *reinterpret_cast<const Lane<W>*>(p);
 }
 
-RMSYN_SCALAR_FN
-void s_or(uint64_t* dst, const uint64_t* a, const uint64_t* b, std::size_t n,
-          bool invert) {
-  const uint64_t flip = invert ? ~0ull : 0ull;
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i) dst[i] = (a[i] | b[i]) ^ flip;
+static_assert(kBlockWords == 4, "the reductions and kFlip spell out 4 words");
+
+// any_bit folds the halves in the vector unit: one shuffle, not 4 extracts.
+template <std::size_t W>
+RMSYN_INLINE bool any_bit(const Lane<W>& v) {
+  if constexpr (W == 1) return v != 0;
+  else {
+    const Lane<W> h = v | __builtin_shufflevector(v, v, 2, 3, 0, 1);
+    return (h[0] | h[1]) != 0;
+  }
 }
 
-RMSYN_SCALAR_FN
-void s_xor(uint64_t* dst, const uint64_t* a, const uint64_t* b, std::size_t n,
-           bool invert) {
-  const uint64_t flip = invert ? ~0ull : 0ull;
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i) dst[i] = (a[i] ^ b[i]) ^ flip;
+template <std::size_t W>
+RMSYN_INLINE uint64_t bit_count(const Lane<W>& v) {
+  if constexpr (W == 1) return static_cast<uint64_t>(std::popcount(v));
+  else return bit_count<1>(v[0]) + bit_count<1>(v[1]) + bit_count<1>(v[2]) +
+              bit_count<1>(v[3]);
 }
 
-RMSYN_SCALAR_FN
-void s_and_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i) dst[i] &= a[i];
+// The fused complement's operand, indexed by `invert` so no branch picks
+// it; kernels copy it to a local lane, or every may_alias store through
+// dst would force a reload.
+constexpr uint64_t kFlip[2][kBlockWords] = {{}, {~0ull, ~0ull, ~0ull, ~0ull}};
+
+// The scalar instance processes one word per operation (bench_sim's 1.5x
+// gate compares against it): an attribute on GCC's scalar entry points, a
+// pragma on every kernel loop for clang (harmless in block instances).
+#if defined(__clang__)
+#define RMSYN_NO_AUTOVEC \
+  _Pragma("clang loop vectorize(disable) interleave(disable)")
+#define RMSYN_SCALAR_FN
+#else
+#define RMSYN_NO_AUTOVEC
+#define RMSYN_SCALAR_FN \
+  __attribute__((optimize("no-tree-vectorize", "no-tree-slp-vectorize")))
+#endif
+
+// The kernels. The loop covers the whole lanes; a block instance hands the
+// tail (< kBlockWords words) to its own word instance. Each lane is read
+// before it is written, so dst may alias any input.
+
+template <std::size_t W>
+RMSYN_INLINE void k_and(uint64_t* dst, const uint64_t* a, const uint64_t* b,
+                        std::size_t n, bool invert) {
+  const Lane<W> flip = at<W>(kFlip[invert]);
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
+    at<W>(dst + i) = (at<W>(a + i) & at<W>(b + i)) ^ flip;
+  if constexpr (W > 1) k_and<1>(dst + i, a + i, b + i, n - i, invert);
 }
 
-RMSYN_SCALAR_FN
-void s_or_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i) dst[i] |= a[i];
+template <std::size_t W>
+RMSYN_INLINE void k_or(uint64_t* dst, const uint64_t* a, const uint64_t* b,
+                       std::size_t n, bool invert) {
+  const Lane<W> flip = at<W>(kFlip[invert]);
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
+    at<W>(dst + i) = (at<W>(a + i) | at<W>(b + i)) ^ flip;
+  if constexpr (W > 1) k_or<1>(dst + i, a + i, b + i, n - i, invert);
 }
 
-RMSYN_SCALAR_FN
-void s_xor_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i) dst[i] ^= a[i];
+template <std::size_t W>
+RMSYN_INLINE void k_xor(uint64_t* dst, const uint64_t* a, const uint64_t* b,
+                        std::size_t n, bool invert) {
+  const Lane<W> flip = at<W>(kFlip[invert]);
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
+    at<W>(dst + i) = (at<W>(a + i) ^ at<W>(b + i)) ^ flip;
+  if constexpr (W > 1) k_xor<1>(dst + i, a + i, b + i, n - i, invert);
 }
 
-RMSYN_SCALAR_FN
-void s_not(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i) dst[i] = ~a[i];
+template <std::size_t W>
+RMSYN_INLINE void k_and_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W) at<W>(dst + i) &= at<W>(a + i);
+  if constexpr (W > 1) k_and_acc<1>(dst + i, a + i, n - i);
 }
 
-RMSYN_SCALAR_FN
-void s_andnot(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-              std::size_t n) {
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] & ~b[i];
+template <std::size_t W>
+RMSYN_INLINE void k_or_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W) at<W>(dst + i) |= at<W>(a + i);
+  if constexpr (W > 1) k_or_acc<1>(dst + i, a + i, n - i);
 }
 
-RMSYN_SCALAR_FN
-void s_mux(uint64_t* dst, const uint64_t* m, const uint64_t* a,
-           const uint64_t* b, std::size_t n) {
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i) dst[i] = (m[i] & a[i]) | (~m[i] & b[i]);
+template <std::size_t W>
+RMSYN_INLINE void k_xor_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W) at<W>(dst + i) ^= at<W>(a + i);
+  if constexpr (W > 1) k_xor_acc<1>(dst + i, a + i, n - i);
 }
 
-RMSYN_SCALAR_FN
-bool s_any(const uint64_t* a, std::size_t n) {
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i)
-    if (a[i]) return true;
+template <std::size_t W>
+RMSYN_INLINE void k_not(uint64_t* dst, const uint64_t* a, std::size_t n) {
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W) at<W>(dst + i) = ~at<W>(a + i);
+  if constexpr (W > 1) k_not<1>(dst + i, a + i, n - i);
+}
+
+template <std::size_t W>
+RMSYN_INLINE void k_andnot(uint64_t* dst, const uint64_t* a,
+                           const uint64_t* b, std::size_t n) {
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
+    at<W>(dst + i) = at<W>(a + i) & ~at<W>(b + i);
+  if constexpr (W > 1) k_andnot<1>(dst + i, a + i, b + i, n - i);
+}
+
+template <std::size_t W>
+RMSYN_INLINE void k_mux(uint64_t* dst, const uint64_t* m, const uint64_t* a,
+                        const uint64_t* b, std::size_t n) {
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
+    at<W>(dst + i) =
+        (at<W>(m + i) & at<W>(a + i)) | (~at<W>(m + i) & at<W>(b + i));
+  if constexpr (W > 1) k_mux<1>(dst + i, m + i, a + i, b + i, n - i);
+}
+
+template <std::size_t W>
+RMSYN_INLINE bool k_any(const uint64_t* a, std::size_t n) {
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
+    if (any_bit<W>(at<W>(a + i))) return true;
+  if constexpr (W > 1) return k_any<1>(a + i, n - i);
   return false;
 }
 
-RMSYN_SCALAR_FN
-bool s_all(const uint64_t* a, std::size_t n) {
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i)
-    if (a[i] != ~0ull) return false;
+template <std::size_t W>
+RMSYN_INLINE bool k_all(const uint64_t* a, std::size_t n) {
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
+    if (any_bit<W>(~at<W>(a + i))) return false;
+  if constexpr (W > 1) return k_all<1>(a + i, n - i);
   return true;
 }
 
-RMSYN_SCALAR_FN
-bool s_any_diff(const uint64_t* a, const uint64_t* b, std::size_t n) {
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i)
-    if (a[i] != b[i]) return true;
+template <std::size_t W>
+RMSYN_INLINE bool k_any_diff(const uint64_t* a, const uint64_t* b,
+                             std::size_t n) {
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
+    if (any_bit<W>(at<W>(a + i) ^ at<W>(b + i))) return true;
+  if constexpr (W > 1) return k_any_diff<1>(a + i, b + i, n - i);
   return false;
 }
 
-RMSYN_SCALAR_FN
-uint64_t s_popcount(const uint64_t* a, std::size_t n) {
+template <std::size_t W>
+RMSYN_INLINE uint64_t k_popcount(const uint64_t* a, std::size_t n) {
   uint64_t total = 0;
-  RMSYN_NO_AUTOVEC
-  for (std::size_t i = 0; i < n; ++i)
-    total += static_cast<uint64_t>(std::popcount(a[i]));
+  std::size_t i = 0;
+  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
+    total += bit_count<W>(at<W>(a + i));
+  if constexpr (W > 1) total += k_popcount<1>(a + i, n - i);
   return total;
 }
 
-constexpr Ops kScalarOps = {
-    Dispatch::Scalar, s_and,    s_or,  s_xor, s_and_acc,  s_or_acc,
-    s_xor_acc,        s_not,    s_andnot, s_mux, s_any,   s_all,
-    s_any_diff,       s_popcount,
-};
-
-// ---------------------------------------------------------------------------
-// AVX2 kernels: one 256-bit ymm op per logical block, word-op tail.
-// Compiled with a per-function target attribute so the file builds
-// without -mavx2 and the functions are only ever called after the
-// runtime __builtin_cpu_supports check.
-// ---------------------------------------------------------------------------
-
-#if defined(RMSYN_SIMD_X86) && (defined(__GNUC__) || defined(__clang__))
-#define RMSYN_HAVE_AVX2 1
-#define RMSYN_AVX2_FN __attribute__((target("avx2")))
-
-RMSYN_AVX2_FN
-void a_and(uint64_t* dst, const uint64_t* a, const uint64_t* b, std::size_t n,
-           bool invert) {
-  std::size_t i = 0;
-  const __m256i flip = invert ? _mm256_set1_epi64x(-1) : _mm256_setzero_si256();
-  for (; i + kBlockWords <= n; i += kBlockWords) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(_mm256_and_si256(va, vb), flip));
-  }
-  const uint64_t f = invert ? ~0ull : 0ull;
-  for (; i < n; ++i) dst[i] = (a[i] & b[i]) ^ f;
+// One Ops table per target: On<K>::call is kernel K compiled with the
+// target's attribute. AVX2's lets the file build without -mavx2 (it runs
+// only after the CPUID check); NEON is baseline on aarch64.
+template <template <auto> class On, std::size_t W>
+constexpr Ops make_ops() {
+  return {On<&k_and<W>>::call,    On<&k_or<W>>::call,
+          On<&k_xor<W>>::call,    On<&k_and_acc<W>>::call,
+          On<&k_or_acc<W>>::call, On<&k_xor_acc<W>>::call,
+          On<&k_not<W>>::call,    On<&k_andnot<W>>::call,
+          On<&k_mux<W>>::call,    On<&k_any<W>>::call,
+          On<&k_all<W>>::call,    On<&k_any_diff<W>>::call,
+          On<&k_popcount<W>>::call};
 }
 
-RMSYN_AVX2_FN
-void a_or(uint64_t* dst, const uint64_t* a, const uint64_t* b, std::size_t n,
-          bool invert) {
-  std::size_t i = 0;
-  const __m256i flip = invert ? _mm256_set1_epi64x(-1) : _mm256_setzero_si256();
-  for (; i + kBlockWords <= n; i += kBlockWords) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(_mm256_or_si256(va, vb), flip));
-  }
-  const uint64_t f = invert ? ~0ull : 0ull;
-  for (; i < n; ++i) dst[i] = (a[i] | b[i]) ^ f;
-}
+#define RMSYN_TARGET(On, ATTR)                           \
+  template <auto K>                                      \
+  struct On;                                             \
+  template <class R, class... A, R (*K)(A...)>           \
+  struct On<K> {                                         \
+    ATTR static R call(A... args) { return K(args...); } \
+  };
 
-RMSYN_AVX2_FN
-void a_xor(uint64_t* dst, const uint64_t* a, const uint64_t* b, std::size_t n,
-           bool invert) {
-  std::size_t i = 0;
-  const __m256i flip = invert ? _mm256_set1_epi64x(-1) : _mm256_setzero_si256();
-  for (; i + kBlockWords <= n; i += kBlockWords) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(_mm256_xor_si256(va, vb), flip));
-  }
-  const uint64_t f = invert ? ~0ull : 0ull;
-  for (; i < n; ++i) dst[i] = (a[i] ^ b[i]) ^ f;
-}
-
-RMSYN_AVX2_FN
-void a_and_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kBlockWords <= n; i += kBlockWords) {
-    __m256i vd = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_and_si256(vd, va));
-  }
-  for (; i < n; ++i) dst[i] &= a[i];
-}
-
-RMSYN_AVX2_FN
-void a_or_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kBlockWords <= n; i += kBlockWords) {
-    __m256i vd = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_or_si256(vd, va));
-  }
-  for (; i < n; ++i) dst[i] |= a[i];
-}
-
-RMSYN_AVX2_FN
-void a_xor_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kBlockWords <= n; i += kBlockWords) {
-    __m256i vd = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(vd, va));
-  }
-  for (; i < n; ++i) dst[i] ^= a[i];
-}
-
-RMSYN_AVX2_FN
-void a_not(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  for (; i + kBlockWords <= n; i += kBlockWords) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(va, ones));
-  }
-  for (; i < n; ++i) dst[i] = ~a[i];
-}
-
-RMSYN_AVX2_FN
-void a_andnot(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-              std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kBlockWords <= n; i += kBlockWords) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // _mm256_andnot_si256(x, y) = ~x & y
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_andnot_si256(vb, va));
-  }
-  for (; i < n; ++i) dst[i] = a[i] & ~b[i];
-}
-
-RMSYN_AVX2_FN
-void a_mux(uint64_t* dst, const uint64_t* m, const uint64_t* a,
-           const uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kBlockWords <= n; i += kBlockWords) {
-    __m256i vm = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + i));
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dst + i),
-        _mm256_or_si256(_mm256_and_si256(vm, va), _mm256_andnot_si256(vm, vb)));
-  }
-  for (; i < n; ++i) dst[i] = (m[i] & a[i]) | (~m[i] & b[i]);
-}
-
-RMSYN_AVX2_FN
-bool a_any(const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kBlockWords <= n; i += kBlockWords) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    if (!_mm256_testz_si256(va, va)) return true;
-  }
-  for (; i < n; ++i)
-    if (a[i]) return true;
-  return false;
-}
-
-RMSYN_AVX2_FN
-bool a_all(const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  for (; i + kBlockWords <= n; i += kBlockWords) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    // testc(a, ones): CF set iff (~a & ones) == 0, i.e. all bits of a set.
-    if (!_mm256_testc_si256(va, ones)) return false;
-  }
-  for (; i < n; ++i)
-    if (a[i] != ~0ull) return false;
-  return true;
-}
-
-RMSYN_AVX2_FN
-bool a_any_diff(const uint64_t* a, const uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kBlockWords <= n; i += kBlockWords) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    __m256i vx = _mm256_xor_si256(va, vb);
-    if (!_mm256_testz_si256(vx, vx)) return true;
-  }
-  for (; i < n; ++i)
-    if (a[i] != b[i]) return true;
-  return false;
-}
-
-RMSYN_AVX2_FN
-uint64_t a_popcount(const uint64_t* a, std::size_t n) {
-  // Hardware popcnt per word is the fastest portable-ish option short of
-  // the Harley-Seal AVX2 lookup kernel; the arrays here are small (tens
-  // to hundreds of words), so per-word popcnt with 4x unroll wins.
-  uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    t0 += static_cast<uint64_t>(_mm_popcnt_u64(a[i]));
-    t1 += static_cast<uint64_t>(_mm_popcnt_u64(a[i + 1]));
-    t2 += static_cast<uint64_t>(_mm_popcnt_u64(a[i + 2]));
-    t3 += static_cast<uint64_t>(_mm_popcnt_u64(a[i + 3]));
-  }
-  uint64_t total = t0 + t1 + t2 + t3;
-  for (; i < n; ++i) total += static_cast<uint64_t>(_mm_popcnt_u64(a[i]));
-  return total;
-}
-
-constexpr Ops kAvx2Ops = {
-    Dispatch::Avx2, a_and,    a_or,  a_xor, a_and_acc,  a_or_acc,
-    a_xor_acc,      a_not,    a_andnot, a_mux, a_any,   a_all,
-    a_any_diff,     a_popcount,
-};
-#endif // RMSYN_HAVE_AVX2
-
-// ---------------------------------------------------------------------------
-// NEON kernels: two 128-bit q-register ops per logical block. NEON is
-// baseline on aarch64, so no runtime feature check is needed.
-// ---------------------------------------------------------------------------
-
-#if defined(RMSYN_SIMD_NEON)
-#define RMSYN_HAVE_NEON 1
-
-void n_and(uint64_t* dst, const uint64_t* a, const uint64_t* b, std::size_t n,
-           bool invert) {
-  std::size_t i = 0;
-  const uint64x2_t flip = vdupq_n_u64(invert ? ~0ull : 0ull);
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(dst + i, veorq_u64(vandq_u64(vld1q_u64(a + i), vld1q_u64(b + i)),
-                                 flip));
-  }
-  const uint64_t f = invert ? ~0ull : 0ull;
-  for (; i < n; ++i) dst[i] = (a[i] & b[i]) ^ f;
-}
-
-void n_or(uint64_t* dst, const uint64_t* a, const uint64_t* b, std::size_t n,
-          bool invert) {
-  std::size_t i = 0;
-  const uint64x2_t flip = vdupq_n_u64(invert ? ~0ull : 0ull);
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(dst + i, veorq_u64(vorrq_u64(vld1q_u64(a + i), vld1q_u64(b + i)),
-                                 flip));
-  }
-  const uint64_t f = invert ? ~0ull : 0ull;
-  for (; i < n; ++i) dst[i] = (a[i] | b[i]) ^ f;
-}
-
-void n_xor(uint64_t* dst, const uint64_t* a, const uint64_t* b, std::size_t n,
-           bool invert) {
-  std::size_t i = 0;
-  const uint64x2_t flip = vdupq_n_u64(invert ? ~0ull : 0ull);
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(dst + i, veorq_u64(veorq_u64(vld1q_u64(a + i), vld1q_u64(b + i)),
-                                 flip));
-  }
-  const uint64_t f = invert ? ~0ull : 0ull;
-  for (; i < n; ++i) dst[i] = (a[i] ^ b[i]) ^ f;
-}
-
-void n_and_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_u64(dst + i, vandq_u64(vld1q_u64(dst + i), vld1q_u64(a + i)));
-  for (; i < n; ++i) dst[i] &= a[i];
-}
-
-void n_or_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_u64(dst + i, vorrq_u64(vld1q_u64(dst + i), vld1q_u64(a + i)));
-  for (; i < n; ++i) dst[i] |= a[i];
-}
-
-void n_xor_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_u64(dst + i, veorq_u64(vld1q_u64(dst + i), vld1q_u64(a + i)));
-  for (; i < n; ++i) dst[i] ^= a[i];
-}
-
-void n_not(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_u64(dst + i,
-              veorq_u64(vld1q_u64(a + i), vdupq_n_u64(~0ull)));
-  for (; i < n; ++i) dst[i] = ~a[i];
-}
-
-void n_andnot(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-              std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_u64(dst + i, vbicq_u64(vld1q_u64(a + i), vld1q_u64(b + i)));
-  for (; i < n; ++i) dst[i] = a[i] & ~b[i];
-}
-
-void n_mux(uint64_t* dst, const uint64_t* m, const uint64_t* a,
-           const uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_u64(dst + i,
-              vbslq_u64(vld1q_u64(m + i), vld1q_u64(a + i), vld1q_u64(b + i)));
-  for (; i < n; ++i) dst[i] = (m[i] & a[i]) | (~m[i] & b[i]);
-}
-
-bool n_any(const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    uint64x2_t v = vld1q_u64(a + i);
-    if (vgetq_lane_u64(v, 0) | vgetq_lane_u64(v, 1)) return true;
-  }
-  for (; i < n; ++i)
-    if (a[i]) return true;
-  return false;
-}
-
-bool n_all(const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    uint64x2_t v = vld1q_u64(a + i);
-    if ((vgetq_lane_u64(v, 0) & vgetq_lane_u64(v, 1)) != ~0ull) return false;
-  }
-  for (; i < n; ++i)
-    if (a[i] != ~0ull) return false;
-  return true;
-}
-
-bool n_any_diff(const uint64_t* a, const uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    uint64x2_t v = veorq_u64(vld1q_u64(a + i), vld1q_u64(b + i));
-    if (vgetq_lane_u64(v, 0) | vgetq_lane_u64(v, 1)) return true;
-  }
-  for (; i < n; ++i)
-    if (a[i] != b[i]) return true;
-  return false;
-}
-
-uint64_t n_popcount(const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  uint64_t total = 0;
-  for (; i + 2 <= n; i += 2) {
-    uint8x16_t bytes = vcntq_u8(vreinterpretq_u8_u64(vld1q_u64(a + i)));
-    total += vaddvq_u8(bytes);
-  }
-  for (; i < n; ++i) total += static_cast<uint64_t>(std::popcount(a[i]));
-  return total;
-}
-
-constexpr Ops kNeonOps = {
-    Dispatch::Neon, n_and,    n_or,  n_xor, n_and_acc,  n_or_acc,
-    n_xor_acc,      n_not,    n_andnot, n_mux, n_any,   n_all,
-    n_any_diff,     n_popcount,
-};
-#endif // RMSYN_HAVE_NEON
-
-// ---------------------------------------------------------------------------
-// Dispatch selection.
-// ---------------------------------------------------------------------------
-
-bool host_supports(Dispatch d) {
-  switch (d) {
-    case Dispatch::Scalar:
-      return true;
-    case Dispatch::Avx2:
-#if defined(RMSYN_HAVE_AVX2)
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
+RMSYN_TARGET(OnScalar, RMSYN_SCALAR_FN)
+#if defined(__x86_64__)
+RMSYN_TARGET(OnAvx2, __attribute__((target("avx2"))))
 #endif
-    case Dispatch::Neon:
-#if defined(RMSYN_HAVE_NEON)
-      return true;
-#else
-      return false;
+#if defined(__aarch64__)
+RMSYN_TARGET(OnNeon, )
 #endif
-  }
-  return false;
+
+// Every target, best first. One this build or host cannot run keeps its
+// name with runs = false, so RMSYN_SIMD tells "unknown" from "not here".
+// The table sits in the entry by value: ops() costs no extra load.
+struct Target { const char* name; bool runs; Ops ops; };
+
+std::span<const Target> targets() {
+  static const Target list[] = {
+#if defined(__x86_64__)
+      {"avx2", __builtin_cpu_supports("avx2") != 0,
+       make_ops<OnAvx2, kBlockWords>()},
+#else
+      {"avx2", false, {}},
+#endif
+#if defined(__aarch64__)
+      {"neon", true, make_ops<OnNeon, kBlockWords>()},
+#else
+      {"neon", false, {}},
+#endif
+      {"scalar", true, make_ops<OnScalar, 1>()},
+  };
+  return list;
 }
 
-const Ops* table_for(Dispatch d) {
-  switch (d) {
-    case Dispatch::Scalar:
-      return &kScalarOps;
-    case Dispatch::Avx2:
-#if defined(RMSYN_HAVE_AVX2)
-      return &kAvx2Ops;
-#else
-      return nullptr;
-#endif
-    case Dispatch::Neon:
-#if defined(RMSYN_HAVE_NEON)
-      return &kNeonOps;
-#else
-      return nullptr;
-#endif
-  }
+/// The target named `name`, runnable or not; null when unknown.
+const Target* find(const char* name) {
+  for (const Target& t : targets())
+    if (std::strcmp(t.name, name) == 0) return &t;
   return nullptr;
 }
 
-Dispatch best_available() {
-  if (host_supports(Dispatch::Avx2)) return Dispatch::Avx2;
-  if (host_supports(Dispatch::Neon)) return Dispatch::Neon;
-  return Dispatch::Scalar;
+// Out of line, so ops() (called per gate evaluation) stays a load and a
+// test instead of inheriting this function's register saves.
+__attribute__((noinline, cold)) const Target* select_initial() {
+  const Target* best = targets().data();
+  while (!best->runs) ++best; // scalar always runs
+  const char* env = std::getenv("RMSYN_SIMD");
+  if (!env) return best;
+  const Target* want = find(env);
+  if (want && want->runs) return want;
+  std::fprintf(stderr, "rmsyn: RMSYN_SIMD=%s is %s; using %s\n", env,
+               want ? "not available on this host"
+                    : "not a known target (scalar|avx2|neon)",
+               best->name);
+  return best;
 }
 
-bool parse_dispatch(const char* s, Dispatch* out) {
-  if (std::strcmp(s, "scalar") == 0) { *out = Dispatch::Scalar; return true; }
-  if (std::strcmp(s, "avx2") == 0) { *out = Dispatch::Avx2; return true; }
-  if (std::strcmp(s, "neon") == 0) { *out = Dispatch::Neon; return true; }
-  return false;
-}
+std::atomic<const Target*> g_target{nullptr};
 
-const Ops* select_initial() {
-  Dispatch d = best_available();
-  if (const char* env = std::getenv("RMSYN_SIMD")) {
-    Dispatch want;
-    if (!parse_dispatch(env, &want)) {
-      std::fprintf(stderr,
-                   "rmsyn: RMSYN_SIMD=%s is not a known target "
-                   "(scalar|avx2|neon); using %s\n",
-                   env, to_string(d));
-    } else if (!host_supports(want)) {
-      std::fprintf(stderr,
-                   "rmsyn: RMSYN_SIMD=%s is not available on this host; "
-                   "using %s\n",
-                   env, to_string(d));
-    } else {
-      d = want;
-    }
-  }
-  return table_for(d);
-}
-
-std::atomic<const Ops*> g_ops{nullptr};
-
-const Ops* active() {
-  const Ops* t = g_ops.load(std::memory_order_acquire);
-  if (!t) {
-    // Benign race: every thread computes the same answer from the same
-    // env/CPUID inputs, so last-writer-wins is fine.
-    t = select_initial();
-    g_ops.store(t, std::memory_order_release);
-  }
+const Target* active() {
+  if (const Target* t = g_target.load(std::memory_order_acquire)) return t;
+  // Benign race: every thread computes the same answer from the same
+  // env/CPUID inputs, so last-writer-wins is fine.
+  const Target* t = select_initial();
+  g_target.store(t, std::memory_order_release);
   return t;
 }
 
 } // namespace
 
-const Ops& ops() { return *active(); }
+const Ops& ops() { return active()->ops; }
 
-const char* dispatch_name() { return to_string(active()->dispatch); }
+const char* dispatch_name() { return active()->name; }
 
 std::vector<std::string> available_dispatches() {
   std::vector<std::string> out;
-  if (host_supports(Dispatch::Avx2)) out.emplace_back("avx2");
-  if (host_supports(Dispatch::Neon)) out.emplace_back("neon");
-  out.emplace_back("scalar");
+  for (const Target& t : targets())
+    if (t.runs) out.emplace_back(t.name);
   return out;
 }
 
 bool force_dispatch(const std::string& name) {
-  Dispatch want;
-  if (!parse_dispatch(name.c_str(), &want)) return false;
-  if (!host_supports(want)) return false;
-  g_ops.store(table_for(want), std::memory_order_release);
+  const Target* want = find(name.c_str());
+  if (!want || !want->runs) return false;
+  g_target.store(want, std::memory_order_release);
   return true;
 }
 

@@ -8,20 +8,18 @@
 // n-ary gates, andnot, mux, any-bit / all-bits tests, an early-exit
 // "do these differ" compare and a popcount — behind one dispatch table.
 //
-// Dispatch: the best target the host supports is selected exactly once
-// (AVX2 on x86-64, NEON on aarch64, scalar everywhere else) and can be
-// overridden with RMSYN_SIMD=scalar|avx2|neon for testing, CI legs and
-// benchmarking. All targets are bit-identical by contract: a kernel is a
-// pure word-wise function, so the only thing a target changes is speed.
-// The forced-scalar fallback is compiled with auto-vectorization disabled
-// so "scalar" really measures one word per operation — it is the honesty
-// baseline the bench_sim throughput gate compares against, not just a
-// portability shim.
+// Each kernel is written once, over a lane of one word or one 256-bit
+// block (kBlockWords x 64, a GCC/Clang vector type), and compiled once per
+// target: AVX2 maps a block onto one ymm op, NEON onto two 128-bit ops,
+// scalar works one word per operation (auto-vectorization disabled: it is
+// the honesty baseline of the bench_sim throughput gate). Arrays need no
+// alignment, and tails shorter than a block fall back to word ops.
 //
-// The logical block is 256 bits (kBlockWords x 64); AVX2 maps it onto one
-// ymm op, NEON onto two 128-bit ops, scalar onto four word ops. Arrays
-// need no alignment (unaligned loads throughout) and tails shorter than a
-// block fall back to word ops inside every kernel.
+// Dispatch: the best target the host supports (AVX2 on x86-64, NEON on
+// aarch64, scalar everywhere else) is selected once and can be overridden
+// with RMSYN_SIMD=scalar|avx2|neon for testing, CI legs and benchmarking.
+// All targets are bit-identical by contract: a kernel is a pure word-wise
+// function, so the only thing a target changes is speed.
 //
 // Thread safety: ops() is safe to call from any thread after the first
 // call. force_dispatch() swaps the active table and must only be called
@@ -39,16 +37,10 @@ namespace rmsyn::simd {
 /// Words per logical SIMD block (256 bits).
 inline constexpr std::size_t kBlockWords = 4;
 
-enum class Dispatch : uint8_t { Scalar = 0, Avx2 = 1, Neon = 2 };
-
-const char* to_string(Dispatch d);
-
 /// The kernel table. `invert` fuses the trailing complement (NAND/NOR/
 /// XNOR gates) into the same pass over memory. dst may alias a or b in
 /// every kernel (pure word-wise operations).
 struct Ops {
-  Dispatch dispatch = Dispatch::Scalar;
-
   // dst[i] = a[i] OP b[i], complemented when invert.
   void (*v_and)(uint64_t* dst, const uint64_t* a, const uint64_t* b,
                 std::size_t n, bool invert);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/sim.hpp"
+#include "util/errors.hpp"
 #include "util/rng.hpp"
 
 namespace rmsyn {
@@ -34,7 +35,7 @@ TEST(Benchgen, RegistryCoversAllOfTable2) {
   EXPECT_EQ(benchmark_names().size(), std::size(kTable2Io));
   for (const auto& io : kTable2Io) EXPECT_TRUE(has_benchmark(io.name)) << io.name;
   EXPECT_FALSE(has_benchmark("nonexistent"));
-  EXPECT_THROW(make_benchmark("nonexistent"), std::invalid_argument);
+  EXPECT_THROW(make_benchmark("nonexistent"), RmsynError);
 }
 
 class BenchgenIo : public ::testing::TestWithParam<std::size_t> {};

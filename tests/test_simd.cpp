@@ -2,8 +2,9 @@
 // bit-identical to a plain word-loop reference under EVERY dispatch
 // target reachable on the host — the whole contract of the layer is that
 // a target only changes speed, never a single bit. Sizes sweep across
-// block boundaries (0, sub-block tails, exact blocks, long arrays) and
-// aliased dst==a calls, since the kernels promise aliasing safety.
+// block boundaries (0, sub-block tails, exact blocks, long arrays), and
+// every writing kernel also runs with dst aliasing each of its inputs,
+// since the kernels promise aliasing safety.
 #include "util/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -110,6 +111,88 @@ TEST(Simd, AccumulateKernelsMatchReferenceAndTolerateAliasing) {
       k.v_xor(dst.data(), dst.data(), dst.data(), n, false);
       EXPECT_EQ(dst, std::vector<uint64_t>(n, 0))
           << target << " aliased self-xor n=" << n;
+    }
+  });
+}
+
+TEST(Simd, EveryWritingKernelToleratesAliasedDestination) {
+  // Each writing kernel, as f(dst, inputs, n); `inputs` counts the operands
+  // dst may alias (an accumulate kernel's dst is also its first operand).
+  using In = const uint64_t* const*;
+  struct Kernel {
+    const char* name;
+    std::size_t inputs;
+    void (*run)(uint64_t* dst, In in, std::size_t n);
+  };
+  const Kernel kernels[] = {
+      {"v_and", 2,
+       [](uint64_t* d, In in, std::size_t n) {
+         simd::ops().v_and(d, in[0], in[1], n, false);
+       }},
+      {"v_nand", 2,
+       [](uint64_t* d, In in, std::size_t n) {
+         simd::ops().v_and(d, in[0], in[1], n, true);
+       }},
+      {"v_or", 2,
+       [](uint64_t* d, In in, std::size_t n) {
+         simd::ops().v_or(d, in[0], in[1], n, false);
+       }},
+      {"v_nor", 2,
+       [](uint64_t* d, In in, std::size_t n) {
+         simd::ops().v_or(d, in[0], in[1], n, true);
+       }},
+      {"v_xor", 2,
+       [](uint64_t* d, In in, std::size_t n) {
+         simd::ops().v_xor(d, in[0], in[1], n, false);
+       }},
+      {"v_xnor", 2,
+       [](uint64_t* d, In in, std::size_t n) {
+         simd::ops().v_xor(d, in[0], in[1], n, true);
+       }},
+      {"v_and_acc", 1,
+       [](uint64_t* d, In in, std::size_t n) {
+         simd::ops().v_and_acc(d, in[0], n);
+       }},
+      {"v_or_acc", 1,
+       [](uint64_t* d, In in, std::size_t n) {
+         simd::ops().v_or_acc(d, in[0], n);
+       }},
+      {"v_xor_acc", 1,
+       [](uint64_t* d, In in, std::size_t n) {
+         simd::ops().v_xor_acc(d, in[0], n);
+       }},
+      {"v_not", 1,
+       [](uint64_t* d, In in, std::size_t n) { simd::ops().v_not(d, in[0], n); }},
+      {"v_andnot", 2,
+       [](uint64_t* d, In in, std::size_t n) {
+         simd::ops().v_andnot(d, in[0], in[1], n);
+       }},
+      {"v_mux", 3,
+       [](uint64_t* d, In in, std::size_t n) {
+         simd::ops().v_mux(d, in[0], in[1], in[2], n);
+       }},
+  };
+  for_each_dispatch([&](const std::string& target) {
+    Rng rng(0xA11A5 ^ target.size());
+    for (const std::size_t n : kSizes) {
+      for (const Kernel& k : kernels) {
+        for (std::size_t alias = 0; alias < k.inputs; ++alias) {
+          std::vector<uint64_t> in[3] = {random_words(n, rng),
+                                         random_words(n, rng),
+                                         random_words(n, rng)};
+          // Reference: a separate dst holding what the aliased one holds.
+          // The unaliased kernels are checked against word loops above.
+          const uint64_t* ptrs[3] = {in[0].data(), in[1].data(), in[2].data()};
+          std::vector<uint64_t> want = in[alias];
+          k.run(want.data(), ptrs, n);
+
+          std::vector<uint64_t> dst = in[alias];
+          ptrs[alias] = dst.data();
+          k.run(dst.data(), ptrs, n);
+          EXPECT_EQ(dst, want) << target << " " << k.name << " n=" << n
+                               << " dst aliases input " << alias;
+        }
+      }
     }
   });
 }

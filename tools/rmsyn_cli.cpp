@@ -186,14 +186,19 @@ struct BadValue {
   std::string want;
 };
 
-double seconds(const std::string& v) {
+/// A real number > 0; `want` describes it in the rejection.
+double positive(const std::string& v, const char* want) {
   try {
     std::size_t pos = 0;
     const double d = std::stod(v, &pos);
     if (pos == v.size() && d > 0.0) return d;
   } catch (const std::exception&) {
   }
-  throw BadValue{"seconds > 0, e.g. 0.001"};
+  throw BadValue{want};
+}
+
+double seconds(const std::string& v) {
+  return positive(v, "seconds > 0, e.g. 0.001");
 }
 
 /// A positive integer no larger than `max` (and so never narrowed on the
@@ -279,7 +284,10 @@ const Flag kFlags[] = {
     {"--ignore-timing", false,
      [](Cli& c, Arg) { c.diff.ignore_timing = true; }},
     {"--noise-pct", true,
-     [](Cli& c, Arg v) { c.diff.seconds_noise_frac = seconds(v) / 100.0; }},
+     [](Cli& c, Arg v) {
+       c.diff.seconds_noise_frac =
+           positive(v, "a percentage > 0, e.g. 5") / 100.0;
+     }},
     {"--noise-floor", true,
      [](Cli& c, Arg v) { c.diff.seconds_noise_floor = seconds(v); }},
     // Global switches (every command)
@@ -618,7 +626,7 @@ int cmd_rewrite(Cli& c) {
   opt.governor = arm_governor(gov, c.limits());
   std::optional<ThreadPool> pool;
   if (c.batch.jobs > 1) {
-    pool.emplace(c.batch.jobs);
+    pool.emplace(c.batch.jobs - 1); // the caller helps, as in table2/batch
     opt.pool = &*pool;
   }
   Network net = spec;

@@ -62,7 +62,8 @@ constexpr uint64_t kFlip[2][kBlockWords] = {{}, {~0ull, ~0ull, ~0ull, ~0ull}};
 
 // The scalar instance processes one word per operation (bench_sim's 1.5x
 // gate compares against it): an attribute on GCC's scalar entry points, a
-// pragma on every kernel loop for clang (harmless in block instances).
+// pragma on every kernel loop for clang, which also keeps clang from
+// interleaving the block loops (clang builds are not measured).
 #if defined(__clang__)
 #define RMSYN_NO_AUTOVEC \
   _Pragma("clang loop vectorize(disable) interleave(disable)")
@@ -74,65 +75,53 @@ constexpr uint64_t kFlip[2][kBlockWords] = {{}, {~0ull, ~0ull, ~0ull, ~0ull}};
 #endif
 
 // The kernels. The loop covers the whole lanes; a block instance hands the
-// tail (< kBlockWords words) to its own word instance. Each lane is read
-// before it is written, so dst may alias any input.
+// tail to its own word instance. Each lane is read before it is written, so
+// dst may alias any input.
 
+// The tail's length, n - i. Telling the compiler it is below W lets it
+// unroll the word loop that follows a block loop.
 template <std::size_t W>
-RMSYN_INLINE void k_and(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                        std::size_t n, bool invert) {
-  const Lane<W> flip = at<W>(kFlip[invert]);
-  std::size_t i = 0;
-  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
-    at<W>(dst + i) = (at<W>(a + i) & at<W>(b + i)) ^ flip;
-  if constexpr (W > 1) k_and<1>(dst + i, a + i, b + i, n - i, invert);
+RMSYN_INLINE std::size_t tail(std::size_t n, std::size_t i) {
+  if (n - i >= W) __builtin_unreachable();
+  return n - i;
 }
 
-template <std::size_t W>
-RMSYN_INLINE void k_or(uint64_t* dst, const uint64_t* a, const uint64_t* b,
+// The binary and accumulate kernels share one body, parameterized by the
+// operator: d = (x OP y) ^ flip. Lanes pass by reference (a vector by value
+// through a helper built without AVX changes the ABI, -Wpsabi) and as
+// Lane<W>, never as a deduced type (see LaneOf).
+enum class Op { And, Or, Xor };
+
+template <Op O, std::size_t W>
+RMSYN_INLINE void apply(Lane<W>& d, const Lane<W>& x, const Lane<W>& y,
+                        const Lane<W>& flip) {
+  if constexpr (O == Op::And) d = (x & y) ^ flip;
+  else if constexpr (O == Op::Or) d = (x | y) ^ flip;
+  else d = (x ^ y) ^ flip;
+}
+
+template <Op O, std::size_t W>
+RMSYN_INLINE void k_op(uint64_t* dst, const uint64_t* a, const uint64_t* b,
                        std::size_t n, bool invert) {
   const Lane<W> flip = at<W>(kFlip[invert]);
   std::size_t i = 0;
   RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
-    at<W>(dst + i) = (at<W>(a + i) | at<W>(b + i)) ^ flip;
-  if constexpr (W > 1) k_or<1>(dst + i, a + i, b + i, n - i, invert);
+    apply<O, W>(at<W>(dst + i), at<W>(a + i), at<W>(b + i), flip);
+  if constexpr (W > 1)
+    k_op<O, 1>(dst + i, a + i, b + i, tail<W>(n, i), invert);
 }
 
-template <std::size_t W>
-RMSYN_INLINE void k_xor(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                        std::size_t n, bool invert) {
-  const Lane<W> flip = at<W>(kFlip[invert]);
-  std::size_t i = 0;
-  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
-    at<W>(dst + i) = (at<W>(a + i) ^ at<W>(b + i)) ^ flip;
-  if constexpr (W > 1) k_xor<1>(dst + i, a + i, b + i, n - i, invert);
-}
-
-template <std::size_t W>
-RMSYN_INLINE void k_and_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W) at<W>(dst + i) &= at<W>(a + i);
-  if constexpr (W > 1) k_and_acc<1>(dst + i, a + i, n - i);
-}
-
-template <std::size_t W>
-RMSYN_INLINE void k_or_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W) at<W>(dst + i) |= at<W>(a + i);
-  if constexpr (W > 1) k_or_acc<1>(dst + i, a + i, n - i);
-}
-
-template <std::size_t W>
-RMSYN_INLINE void k_xor_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  RMSYN_NO_AUTOVEC for (; i + W <= n; i += W) at<W>(dst + i) ^= at<W>(a + i);
-  if constexpr (W > 1) k_xor_acc<1>(dst + i, a + i, n - i);
+// dst OP= a is dst = dst OP a, uncomplemented.
+template <Op O, std::size_t W>
+RMSYN_INLINE void k_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
+  k_op<O, W>(dst, dst, a, n, false);
 }
 
 template <std::size_t W>
 RMSYN_INLINE void k_not(uint64_t* dst, const uint64_t* a, std::size_t n) {
   std::size_t i = 0;
   RMSYN_NO_AUTOVEC for (; i + W <= n; i += W) at<W>(dst + i) = ~at<W>(a + i);
-  if constexpr (W > 1) k_not<1>(dst + i, a + i, n - i);
+  if constexpr (W > 1) k_not<1>(dst + i, a + i, tail<W>(n, i));
 }
 
 template <std::size_t W>
@@ -141,7 +130,7 @@ RMSYN_INLINE void k_andnot(uint64_t* dst, const uint64_t* a,
   std::size_t i = 0;
   RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
     at<W>(dst + i) = at<W>(a + i) & ~at<W>(b + i);
-  if constexpr (W > 1) k_andnot<1>(dst + i, a + i, b + i, n - i);
+  if constexpr (W > 1) k_andnot<1>(dst + i, a + i, b + i, tail<W>(n, i));
 }
 
 template <std::size_t W>
@@ -151,7 +140,7 @@ RMSYN_INLINE void k_mux(uint64_t* dst, const uint64_t* m, const uint64_t* a,
   RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
     at<W>(dst + i) =
         (at<W>(m + i) & at<W>(a + i)) | (~at<W>(m + i) & at<W>(b + i));
-  if constexpr (W > 1) k_mux<1>(dst + i, m + i, a + i, b + i, n - i);
+  if constexpr (W > 1) k_mux<1>(dst + i, m + i, a + i, b + i, tail<W>(n, i));
 }
 
 template <std::size_t W>
@@ -159,7 +148,7 @@ RMSYN_INLINE bool k_any(const uint64_t* a, std::size_t n) {
   std::size_t i = 0;
   RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
     if (any_bit<W>(at<W>(a + i))) return true;
-  if constexpr (W > 1) return k_any<1>(a + i, n - i);
+  if constexpr (W > 1) return k_any<1>(a + i, tail<W>(n, i));
   return false;
 }
 
@@ -168,7 +157,7 @@ RMSYN_INLINE bool k_all(const uint64_t* a, std::size_t n) {
   std::size_t i = 0;
   RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
     if (any_bit<W>(~at<W>(a + i))) return false;
-  if constexpr (W > 1) return k_all<1>(a + i, n - i);
+  if constexpr (W > 1) return k_all<1>(a + i, tail<W>(n, i));
   return true;
 }
 
@@ -178,7 +167,7 @@ RMSYN_INLINE bool k_any_diff(const uint64_t* a, const uint64_t* b,
   std::size_t i = 0;
   RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
     if (any_bit<W>(at<W>(a + i) ^ at<W>(b + i))) return true;
-  if constexpr (W > 1) return k_any_diff<1>(a + i, b + i, n - i);
+  if constexpr (W > 1) return k_any_diff<1>(a + i, b + i, tail<W>(n, i));
   return false;
 }
 
@@ -188,19 +177,20 @@ RMSYN_INLINE uint64_t k_popcount(const uint64_t* a, std::size_t n) {
   std::size_t i = 0;
   RMSYN_NO_AUTOVEC for (; i + W <= n; i += W)
     total += bit_count<W>(at<W>(a + i));
-  if constexpr (W > 1) total += k_popcount<1>(a + i, n - i);
+  if constexpr (W > 1) total += k_popcount<1>(a + i, tail<W>(n, i));
   return total;
 }
 
 // One Ops table per target: On<K>::call is kernel K compiled with the
 // target's attribute. AVX2's lets the file build without -mavx2 (it runs
-// only after the CPUID check); NEON is baseline on aarch64.
+// only after the CPUID check) and names popcnt, which clang's avx2 does not
+// imply; NEON is baseline on aarch64.
 template <template <auto> class On, std::size_t W>
 constexpr Ops make_ops() {
-  return {On<&k_and<W>>::call,    On<&k_or<W>>::call,
-          On<&k_xor<W>>::call,    On<&k_and_acc<W>>::call,
-          On<&k_or_acc<W>>::call, On<&k_xor_acc<W>>::call,
-          On<&k_not<W>>::call,    On<&k_andnot<W>>::call,
+  return {On<&k_op<Op::And, W>>::call,  On<&k_op<Op::Or, W>>::call,
+          On<&k_op<Op::Xor, W>>::call,  On<&k_acc<Op::And, W>>::call,
+          On<&k_acc<Op::Or, W>>::call,  On<&k_acc<Op::Xor, W>>::call,
+          On<&k_not<W>>::call,          On<&k_andnot<W>>::call,
           On<&k_mux<W>>::call,    On<&k_any<W>>::call,
           On<&k_all<W>>::call,    On<&k_any_diff<W>>::call,
           On<&k_popcount<W>>::call};
@@ -216,7 +206,7 @@ constexpr Ops make_ops() {
 
 RMSYN_TARGET(OnScalar, RMSYN_SCALAR_FN)
 #if defined(__x86_64__)
-RMSYN_TARGET(OnAvx2, __attribute__((target("avx2"))))
+RMSYN_TARGET(OnAvx2, __attribute__((target("avx2,popcnt"))))
 #endif
 #if defined(__aarch64__)
 RMSYN_TARGET(OnNeon, )
@@ -230,7 +220,8 @@ struct Target { const char* name; bool runs; Ops ops; };
 std::span<const Target> targets() {
   static const Target list[] = {
 #if defined(__x86_64__)
-      {"avx2", __builtin_cpu_supports("avx2") != 0,
+      {"avx2",
+       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt"),
        make_ops<OnAvx2, kBlockWords>()},
 #else
       {"avx2", false, {}},

@@ -40,44 +40,73 @@ void for_each_dispatch(const std::function<void(const std::string&)>& check) {
   ASSERT_TRUE(simd::force_dispatch(saved));
 }
 
+/// Runs a writing kernel over copies of `in`: once into a separate dst,
+/// then once with dst aliasing each input in turn. Every run must
+/// produce `want`.
+void expect_with_aliasing(
+    const std::vector<std::vector<uint64_t>>& in,
+    const std::vector<uint64_t>& want,
+    const std::function<void(uint64_t*, const std::vector<uint64_t*>&)>& run,
+    const std::string& what) {
+  for (std::size_t alias = 0; alias <= in.size(); ++alias) {
+    std::vector<std::vector<uint64_t>> copy = in;
+    std::vector<uint64_t*> ptrs;
+    for (auto& v : copy) ptrs.push_back(v.data());
+    std::vector<uint64_t> separate(want.size(), 0);
+    uint64_t* dst = alias < in.size() ? ptrs[alias] : separate.data();
+    run(dst, ptrs);
+    EXPECT_EQ(std::vector<uint64_t>(dst, dst + want.size()), want)
+        << what << " n=" << want.size()
+        << (alias < in.size() ? " dst aliases input " + std::to_string(alias)
+                              : std::string());
+  }
+}
+
 TEST(Simd, BinaryKernelsMatchReferenceUnderEveryDispatch) {
   for_each_dispatch([](const std::string& target) {
     Rng rng(0x51AD ^ target.size());
     for (const std::size_t n : kSizes) {
       const auto a = random_words(n, rng);
       const auto b = random_words(n, rng);
-      std::vector<uint64_t> dst(n, 0), want(n, 0);
+      std::vector<uint64_t> want(n, 0);
+      const Ops& k = simd::ops();
+      using Ptrs = const std::vector<uint64_t*>&;
       for (const bool inv : {false, true}) {
-        const Ops& k = simd::ops();
-        k.v_and(dst.data(), a.data(), b.data(), n, inv);
+        const std::string suffix = " inv=" + std::to_string(inv);
         for (std::size_t i = 0; i < n; ++i)
           want[i] = inv ? ~(a[i] & b[i]) : (a[i] & b[i]);
-        EXPECT_EQ(dst, want) << target << " v_and n=" << n << " inv=" << inv;
+        expect_with_aliasing({a, b}, want, [&](uint64_t* d, Ptrs in) {
+          k.v_and(d, in[0], in[1], n, inv);
+        }, target + " v_and" + suffix);
 
-        k.v_or(dst.data(), a.data(), b.data(), n, inv);
         for (std::size_t i = 0; i < n; ++i)
           want[i] = inv ? ~(a[i] | b[i]) : (a[i] | b[i]);
-        EXPECT_EQ(dst, want) << target << " v_or n=" << n << " inv=" << inv;
+        expect_with_aliasing({a, b}, want, [&](uint64_t* d, Ptrs in) {
+          k.v_or(d, in[0], in[1], n, inv);
+        }, target + " v_or" + suffix);
 
-        k.v_xor(dst.data(), a.data(), b.data(), n, inv);
         for (std::size_t i = 0; i < n; ++i)
           want[i] = inv ? ~(a[i] ^ b[i]) : (a[i] ^ b[i]);
-        EXPECT_EQ(dst, want) << target << " v_xor n=" << n << " inv=" << inv;
+        expect_with_aliasing({a, b}, want, [&](uint64_t* d, Ptrs in) {
+          k.v_xor(d, in[0], in[1], n, inv);
+        }, target + " v_xor" + suffix);
       }
-      const Ops& k = simd::ops();
-      k.v_andnot(dst.data(), a.data(), b.data(), n);
       for (std::size_t i = 0; i < n; ++i) want[i] = a[i] & ~b[i];
-      EXPECT_EQ(dst, want) << target << " v_andnot n=" << n;
+      expect_with_aliasing({a, b}, want, [&](uint64_t* d, Ptrs in) {
+        k.v_andnot(d, in[0], in[1], n);
+      }, target + " v_andnot");
 
-      k.v_not(dst.data(), a.data(), n);
       for (std::size_t i = 0; i < n; ++i) want[i] = ~a[i];
-      EXPECT_EQ(dst, want) << target << " v_not n=" << n;
+      expect_with_aliasing({a}, want, [&](uint64_t* d, Ptrs in) {
+        k.v_not(d, in[0], n);
+      }, target + " v_not");
 
       const auto m = random_words(n, rng);
-      k.v_mux(dst.data(), m.data(), a.data(), b.data(), n);
       for (std::size_t i = 0; i < n; ++i)
         want[i] = (m[i] & a[i]) | (~m[i] & b[i]);
-      EXPECT_EQ(dst, want) << target << " v_mux n=" << n;
+      expect_with_aliasing({m, a, b}, want, [&](uint64_t* d, Ptrs in) {
+        k.v_mux(d, in[0], in[1], in[2], n);
+      }, target + " v_mux");
     }
   });
 }
@@ -91,108 +120,37 @@ TEST(Simd, AccumulateKernelsMatchReferenceAndTolerateAliasing) {
       std::vector<uint64_t> dst, want(n);
       const Ops& k = simd::ops();
 
+      // dst OP= a, then dst OP= dst (a aliasing dst).
       dst = base;
       k.v_and_acc(dst.data(), a.data(), n);
       for (std::size_t i = 0; i < n; ++i) want[i] = base[i] & a[i];
       EXPECT_EQ(dst, want) << target << " v_and_acc n=" << n;
+      dst = base;
+      k.v_and_acc(dst.data(), dst.data(), n);
+      EXPECT_EQ(dst, base) << target << " aliased v_and_acc n=" << n;
 
       dst = base;
       k.v_or_acc(dst.data(), a.data(), n);
       for (std::size_t i = 0; i < n; ++i) want[i] = base[i] | a[i];
       EXPECT_EQ(dst, want) << target << " v_or_acc n=" << n;
+      dst = base;
+      k.v_or_acc(dst.data(), dst.data(), n);
+      EXPECT_EQ(dst, base) << target << " aliased v_or_acc n=" << n;
 
       dst = base;
       k.v_xor_acc(dst.data(), a.data(), n);
       for (std::size_t i = 0; i < n; ++i) want[i] = base[i] ^ a[i];
       EXPECT_EQ(dst, want) << target << " v_xor_acc n=" << n;
+      dst = base;
+      k.v_xor_acc(dst.data(), dst.data(), n);
+      EXPECT_EQ(dst, std::vector<uint64_t>(n, 0))
+          << target << " aliased v_xor_acc n=" << n;
 
-      // dst aliasing a is allowed in every kernel (pure word-wise ops).
+      // dst aliasing both inputs at once.
       dst = base;
       k.v_xor(dst.data(), dst.data(), dst.data(), n, false);
       EXPECT_EQ(dst, std::vector<uint64_t>(n, 0))
           << target << " aliased self-xor n=" << n;
-    }
-  });
-}
-
-TEST(Simd, EveryWritingKernelToleratesAliasedDestination) {
-  // Each writing kernel, as f(dst, inputs, n); `inputs` counts the operands
-  // dst may alias (an accumulate kernel's dst is also its first operand).
-  using In = const uint64_t* const*;
-  struct Kernel {
-    const char* name;
-    std::size_t inputs;
-    void (*run)(uint64_t* dst, In in, std::size_t n);
-  };
-  const Kernel kernels[] = {
-      {"v_and", 2,
-       [](uint64_t* d, In in, std::size_t n) {
-         simd::ops().v_and(d, in[0], in[1], n, false);
-       }},
-      {"v_nand", 2,
-       [](uint64_t* d, In in, std::size_t n) {
-         simd::ops().v_and(d, in[0], in[1], n, true);
-       }},
-      {"v_or", 2,
-       [](uint64_t* d, In in, std::size_t n) {
-         simd::ops().v_or(d, in[0], in[1], n, false);
-       }},
-      {"v_nor", 2,
-       [](uint64_t* d, In in, std::size_t n) {
-         simd::ops().v_or(d, in[0], in[1], n, true);
-       }},
-      {"v_xor", 2,
-       [](uint64_t* d, In in, std::size_t n) {
-         simd::ops().v_xor(d, in[0], in[1], n, false);
-       }},
-      {"v_xnor", 2,
-       [](uint64_t* d, In in, std::size_t n) {
-         simd::ops().v_xor(d, in[0], in[1], n, true);
-       }},
-      {"v_and_acc", 1,
-       [](uint64_t* d, In in, std::size_t n) {
-         simd::ops().v_and_acc(d, in[0], n);
-       }},
-      {"v_or_acc", 1,
-       [](uint64_t* d, In in, std::size_t n) {
-         simd::ops().v_or_acc(d, in[0], n);
-       }},
-      {"v_xor_acc", 1,
-       [](uint64_t* d, In in, std::size_t n) {
-         simd::ops().v_xor_acc(d, in[0], n);
-       }},
-      {"v_not", 1,
-       [](uint64_t* d, In in, std::size_t n) { simd::ops().v_not(d, in[0], n); }},
-      {"v_andnot", 2,
-       [](uint64_t* d, In in, std::size_t n) {
-         simd::ops().v_andnot(d, in[0], in[1], n);
-       }},
-      {"v_mux", 3,
-       [](uint64_t* d, In in, std::size_t n) {
-         simd::ops().v_mux(d, in[0], in[1], in[2], n);
-       }},
-  };
-  for_each_dispatch([&](const std::string& target) {
-    Rng rng(0xA11A5 ^ target.size());
-    for (const std::size_t n : kSizes) {
-      for (const Kernel& k : kernels) {
-        for (std::size_t alias = 0; alias < k.inputs; ++alias) {
-          std::vector<uint64_t> in[3] = {random_words(n, rng),
-                                         random_words(n, rng),
-                                         random_words(n, rng)};
-          // Reference: a separate dst holding what the aliased one holds.
-          // The unaliased kernels are checked against word loops above.
-          const uint64_t* ptrs[3] = {in[0].data(), in[1].data(), in[2].data()};
-          std::vector<uint64_t> want = in[alias];
-          k.run(want.data(), ptrs, n);
-
-          std::vector<uint64_t> dst = in[alias];
-          ptrs[alias] = dst.data();
-          k.run(dst.data(), ptrs, n);
-          EXPECT_EQ(dst, want) << target << " " << k.name << " n=" << n
-                               << " dst aliases input " << alias;
-        }
-      }
     }
   });
 }
